@@ -24,7 +24,6 @@ functions.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -403,29 +402,38 @@ def _check_dense_budget(n: int, dense_budget):
         raise BudgetError(f"dense form of {n} qubits exceeds the budget of {limit}")
 
 
-def _string_dense(key: int, n: int) -> np.ndarray:
-    mats = [SIGMA[PauliString(n, key).letter(q)] for q in range(n, 0, -1)]
-    return functools.reduce(np.kron, mats)
+def _string_action(n: int, keys: np.ndarray):
+    """How strings act on the computational basis, in blocks of terms.
+
+    A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>.
+    Yields ``(block, rows, factors)``: for term t of ``keys[block]``,
+    ``rows[t, b]`` is b^x_t and ``factors[t, b]`` that phase and sign.
+    A block holds about 2**16 entries (1 MiB of complex factors).
+    """
+    dim = 1 << n
+    basis = np.arange(dim, dtype=np.uint64)
+    mask = np.uint64(dim - 1)
+    size = max(1, (1 << 16) >> n)
+    for start in range(0, len(keys), size):
+        block = slice(start, start + size)
+        key = keys[block, None]
+        x, z = key & mask, key >> np.uint64(n)
+        signs = 1 - 2 * (_popcount(z & basis) & 1)
+        factors = _POWERS_OF_I[_popcount(x & z) % 4] * signs
+        yield block, (basis ^ x).astype(np.intp), factors
 
 
-def _keys_to_coeff_tensor(n: int, keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Scatter terms into the [4]*n coefficient tensor (axis order m_n..m_1)."""
-    flat = np.zeros(4**n, dtype=np.complex128)
-    if len(keys) == 0:
-        return flat.reshape([4] * n)
-    mask = np.uint64((1 << n) - 1)
-    x = (keys & mask).astype(np.int64)
+def _tensor_index(n: int, keys: np.ndarray) -> np.ndarray:
+    """Flat index of each string in the [4]*n coefficient tensor (axes m_n..m_1).
+
+    Per qubit the letter is m = 2z + (x^z): I=0, X=1, Y=2, Z=3.
+    """
+    x = (keys & np.uint64((1 << n) - 1)).astype(np.int64)
     z = (keys >> np.uint64(n)).astype(np.int64)
-    # letter index: I=0, X=1, Y=2, Z=3 from (x, z) bits via m = x + 2z + ... ;
-    # the table below is m = x*1 + z*3 - (x&z)*2 -> (0,0)->0,(1,0)->1,(1,1)->2,(0,1)->3
     idx = np.zeros(len(keys), dtype=np.int64)
     for k in range(n):
-        xb = (x >> k) & 1
-        zb = (z >> k) & 1
-        m = xb + 3 * zb - 2 * (xb & zb)
-        idx += m << (2 * k)
-    flat[idx] = coeffs
-    return flat.reshape([4] * n)
+        idx |= (((x ^ z) >> k & 1) | (z >> k & 1) << 1) << (2 * k)
+    return idx
 
 
 def _coeff_tensor_to_dense(tensor: np.ndarray) -> np.ndarray:
@@ -445,13 +453,17 @@ def to_dense(s: PauliSum, *, dense_budget: int | None = None) -> np.ndarray:
     """Dense matrix of a sum; qubit 1 is the least significant bit."""
     _check_dense_budget(s.n, dense_budget)
     dim = 2**s.n
-    if s.num_terms <= 64:
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for k, c in zip(s._keys, s._coeffs):
-            out += c * _string_dense(int(k), s.n)
-        return out
-    tensor = _keys_to_coeff_tensor(s.n, s._keys, s._coeffs)
-    return _coeff_tensor_to_dense(tensor)
+    if s.num_terms > dim:
+        # The scatter costs terms x 2**n; contracting the coefficient
+        # tensor costs about n 4**n whatever the number of terms.
+        flat = np.zeros(4**s.n, dtype=np.complex128)
+        flat[_tensor_index(s.n, s._keys)] = s._coeffs
+        return _coeff_tensor_to_dense(flat.reshape([4] * s.n))
+    out = np.zeros(dim * dim, dtype=np.complex128)
+    cols = np.arange(dim)
+    for block, rows, factors in _string_action(s.n, s._keys):
+        np.add.at(out, rows * dim + cols, s._coeffs[block, None] * factors)
+    return out.reshape(dim, dim)
 
 
 def decompose(m: np.ndarray, *, dense_budget: int | None = None) -> PauliSum:

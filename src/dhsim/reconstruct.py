@@ -9,9 +9,11 @@ density of the full network is
 and a reduced density over a subset S replaces n by |S| and restricts
 the selections to S.  Expectation queries for single selections are
 evaluated lazily by multiplying the selected component sums and
-contracting coefficients against the initial state; the full sum over
-selections is only materialized when a dense matrix is requested, via a
-batched product tree over the components' dense forms.
+contracting coefficients against the initial state.  The full sum over
+selections is only materialized when a dense matrix is requested: the
+qubits split into two halves, each half's component products are
+applied to the initial vector as a 2**n x 4**(n/2) column block, and
+one product of the two blocks gives all 4**n expectations.
 
 Expectations against the standard state |0...0> use coefficient lookup:
 a string contributes its coefficient iff its letters are all I or Z.
@@ -26,7 +28,7 @@ import numpy as np
 from .config import DENSE_QUBITS
 from .descriptors import NetworkState, component_product, conjugate_sum
 from .errors import BudgetError, GaugeError, InvariantError
-from .pauli import PauliSum, _coeff_tensor_to_dense, sum_mul
+from .pauli import PauliSum, _coeff_tensor_to_dense, _string_action, sum_mul, to_dense
 from .statevector import DensityMatrix, StateVector
 
 _REAL_ATOL = 1e-10
@@ -88,23 +90,16 @@ def _pauli_expectation_zero(s: PauliSum) -> complex:
 
 
 def _pauli_expectation_pure(s: PauliSum, psi: np.ndarray) -> complex:
-    """<psi| s |psi> by applying each string to the amplitude vector.
+    """<psi| s |psi> over blocks of strings.
 
-    A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>.
+    A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>,
+    so its expectation is sum_b conj(psi[b^x]) i**|x&z| (-1)**|z&b| psi[b].
     """
-    n = s.n
-    idx = np.arange(2**n, dtype=np.uint64)
+    coeffs = s.coeffs()
     total = 0.0 + 0.0j
-    mask = np.uint64((1 << n) - 1)
-    for key, coeff in zip(s.keys(), s.coeffs()):
-        x = int(key & mask)
-        z = int(key) >> n
-        phase = 1j ** ((x & z).bit_count() % 4)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z)) % 2)
-        out = np.zeros_like(psi)
-        out[idx ^ np.uint64(x)] = phase * signs * psi
-        total += coeff * np.vdot(psi, out)
-    return total
+    for block, rows, factors in _string_action(s.n, s.keys()):
+        total += coeffs[block] @ ((psi[rows].conj() * factors) @ psi)
+    return complex(total)
 
 
 def pauli_expectation(s: PauliSum, rho0: InitialState) -> complex:
@@ -156,16 +151,22 @@ def expectation_table(
 # -- dense assembly ------------------------------------------------------------
 
 
-def _component_denses(
-    state: NetworkState, qubits: Sequence[int], dense_budget: Optional[int]
-) -> dict:
-    from .pauli import to_dense
+def _apply_components(
+    state: NetworkState, qubits: Sequence[int], psi0: np.ndarray, dense_budget: Optional[int]
+) -> np.ndarray:
+    """Columns prod_{q in qubits} q_{q,m_q}(t) |psi0> for all 4**k selections.
 
-    return {
-        (q, m): to_dense(state.descriptor(q).component(m), dense_budget=dense_budget)
-        for q in qubits
-        for m in (1, 2, 3)
-    }
+    The last qubit applied carries the largest column stride, so columns
+    are row-major over (m_last .. m_first).  Components go dense one at a time.
+    """
+    cols = psi0.reshape(-1, 1)
+    for q in qubits:
+        blocks = [cols]
+        for m in (1, 2, 3):
+            dense = to_dense(state.descriptor(q).component(m), dense_budget=dense_budget)
+            blocks.append(dense @ cols)
+        cols = np.hstack(blocks)
+    return cols
 
 
 def _expectation_tensor(
@@ -178,29 +179,23 @@ def _expectation_tensor(
 
     Returns a [4]*k tensor with axes ordered (m_{q_k}, ..., m_{q_1}) for
     qubits sorted ascending (largest qubit's axis first), matching the
-    coefficient-tensor convention of the dense converter.  Batched over
-    the components' dense forms, so this is the path that materializes
-    the full selection sum.
+    coefficient-tensor convention of the dense converter.
+
+    Meet in the middle: components of distinct qubits commute and are
+    Hermitian, so for a lower half A and upper half B of the sorted qubits
+    <psi0| P_A P_B |psi0> = (P_A psi0)^dagger (P_B psi0), one product of
+    two 2**n x 4**(k/2) column blocks instead of one 2**n x 4**k block.
     """
     qubits = sorted(qubits)
-    dense = _component_denses(state, qubits, dense_budget)
-    k = len(qubits)
-    # Components of distinct qubits commute, so the application order is
-    # immaterial; processing ascending makes the last-processed (largest)
-    # qubit carry the largest column stride, giving axes (m_max .. m_min)
-    # directly.
-    cols = psi0.reshape(-1, 1)
-    for q in qubits:
-        blocks = [cols]
-        for m in (1, 2, 3):
-            blocks.append(dense[(q, m)] @ cols)
-        cols = np.hstack(blocks)
-    values = psi0.conj() @ cols
+    half = len(qubits) // 2
+    left = _apply_components(state, qubits[:half], psi0, dense_budget)
+    right = _apply_components(state, qubits[half:], psi0, dense_budget)
+    # rows index B's selections (m_{q_k} .. m_{q_half+1}), columns A's
+    # (m_{q_half} .. m_{q_1}): row-major, that is (m_{q_k} .. m_{q_1}).
+    values = right.T @ left.conj()
     if np.max(np.abs(values.imag)) > _REAL_ATOL:
         raise InvariantError("selection expectations are not real")
-    # column index is row-major over (m_{q_k}, ..., m_{q_1}) already:
-    # the last-processed (largest) qubit contributes the largest stride.
-    return values.real.reshape([4] * k)
+    return values.real.reshape([4] * len(qubits))
 
 
 def global_density(
@@ -209,7 +204,14 @@ def global_density(
     *,
     dense_budget: Optional[int] = None,
 ) -> DensityMatrix:
-    """The full network density matrix from descriptors alone."""
+    """The full network density matrix from descriptors alone.
+
+    `_expectation_tensor` splits the qubits in halves, so the largest
+    arrays are two 2**n x 4**(n/2) column blocks and 4**n tensors:
+    80-110 MiB at n=10, where one 2**n x 4**n block would take 16 GiB.
+    Time goes to the 3n dense components, the product of the blocks and
+    validating the result.
+    """
     limit = DENSE_QUBITS if dense_budget is None else dense_budget
     if state.n > limit:
         raise BudgetError(

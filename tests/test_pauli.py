@@ -225,13 +225,37 @@ def test_dense_round_trips_random_hermitian():
 
 
 def test_to_dense_tensor_path_matches_kron_path():
-    # Force the >64-term tensor path and compare with the per-term oracle.
+    # More than 2**n terms take the coefficient-tensor path; check it
+    # against the per-term kron oracle.
     rng = np.random.default_rng(3)
     n = 4
     labels = set(random_labels(rng, n, 200))
     s = PauliSum.from_terms(n, {l: complex(*rng.normal(size=2)) for l in labels})
     assert s.num_terms > 64
     assert np.max(np.abs(to_dense(s) - dense_sum(s))) < 1e-12
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_to_dense_either_side_of_scatter_threshold(extra):
+    # Up to 2**n terms are scattered, one more contracts the coefficient tensor.
+    rng = np.random.default_rng(5)
+    n = 5
+    count = 2**n + extra
+    keys = rng.choice(4**n, size=count, replace=False).astype(np.uint64)
+    s = PauliSum(n, keys, rng.normal(size=count) + 1j * rng.normal(size=count))
+    assert s.num_terms == count
+    assert np.max(np.abs(to_dense(s) - dense_sum(s))) < 1e-12
+
+
+def test_to_dense_across_term_blocks_round_trips():
+    # At n=10 a block holds 64 strings, so 300 terms span five blocks;
+    # `decompose` is an independent contraction path back to the terms.
+    rng = np.random.default_rng(4)
+    n = 10
+    keys = rng.integers(0, 4**n, size=300).astype(np.uint64)
+    s = PauliSum(n, keys, rng.normal(size=300) + 1j * rng.normal(size=300))
+    assert s.num_terms > 256
+    assert (decompose(to_dense(s)) - s).coeff_norm() < 1e-10
 
 
 def test_decompose_rejects_bad_shapes():

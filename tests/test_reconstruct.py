@@ -4,16 +4,25 @@ The reference for every density is the state-vector simulator; the
 reference for expectations is dense linear algebra on the evolved
 descriptors.
 """
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import random_circuit
 
-from dhsim.circuit import bind, build_teleportation, parse
+import dhsim
+from dhsim.circuit import bind, build_teleportation, parse, serialize
 from dhsim.descriptors import evolve
 from dhsim.errors import BudgetError, GaugeError
 from dhsim.pauli import PauliSum, to_dense
 from dhsim.reconstruct import (
     InitialState,
+    _expectation_tensor,
+    _selection_expectations,
     expectation_of_product,
     expectation_table,
     gauge_transform,
@@ -96,6 +105,20 @@ def test_pure_state_expectation_matches_dense():
     assert got == pytest.approx(complex(want), abs=1e-12)
 
 
+def test_pure_state_expectation_across_term_blocks():
+    # At n=10 a block holds 64 strings, so 300 terms span five blocks.
+    rng = np.random.default_rng(49)
+    n = 10
+    keys = rng.integers(0, 4**n, size=300).astype(np.uint64)
+    s = PauliSum(n, keys, rng.normal(size=300) + 1j * rng.normal(size=300))
+    assert s.num_terms > 256
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    got = pauli_expectation(s, InitialState.custom(StateVector(n, v)))
+    want = v.conj() @ to_dense(s) @ v
+    assert abs(got - want) < 1e-10
+
+
 def test_expectation_lazy_path_matches_dense_tree():
     rng = np.random.default_rng(41)
     c, binding = random_circuit(rng, n=4, depth=14)
@@ -165,6 +188,34 @@ def test_global_density_custom_initial_state():
     for g in bc.gates:
         amps = apply_bound_gate(amps, g, n)
     assert trace_distance(got, np.outer(amps, amps.conj())) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_expectation_tensor_halves_match_lazy_path(n):
+    # n=1 leaves the lower half empty; odd n splits unevenly.
+    rng = np.random.default_rng(50 + n)
+    c, binding = random_circuit(rng, n=n, depth=12)
+    state = evolve(bind(c, binding))
+    qubits = list(range(1, n + 1))
+    rho0 = InitialState.standard()
+    dense = _expectation_tensor(state, qubits, rho0.amplitudes(n), None)
+    lazy = _selection_expectations(state, qubits, rho0)
+    assert dense.shape == (4,) * n
+    assert np.max(np.abs(dense - lazy)) < 1e-10
+
+
+def test_expectation_tensor_halves_match_lazy_path_custom_state():
+    rng = np.random.default_rng(55)
+    n = 3
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v /= np.linalg.norm(v)
+    rho0 = InitialState.custom(StateVector(n, v))
+    c, binding = random_circuit(rng, n=n, depth=12)
+    state = evolve(bind(c, binding))
+    qubits = list(range(1, n + 1))
+    dense = _expectation_tensor(state, qubits, v, None)
+    lazy = _selection_expectations(state, qubits, rho0)
+    assert np.max(np.abs(dense - lazy)) < 1e-10
 
 
 def test_global_density_budget():
@@ -331,3 +382,72 @@ def test_history_distinction_equal_marginals_different_descriptors():
         for m in (1, 2, 3)
     )
     assert gap > 0.1
+
+
+# -- ten qubits under an address-space cap ------------------------------------------
+
+# The benchmark's cap.  It is set inside the child, so it limits only
+# the child process.
+_CAPPED_PRELUDE = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+
+
+def run_capped(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(dhsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # One BLAS thread, so per-thread buffers on a many-core host do not
+    # count against the cap; the cap then measures dhsim's own arrays.
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_PRELUDE + code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+
+
+@pytest.fixture(scope="module")
+def ten_qubit_file(tmp_path_factory):
+    rng = np.random.default_rng(56)
+    c, _ = random_circuit(rng, n=10, depth=60, symbol_prob=0.0)
+    path = tmp_path_factory.mktemp("ten") / "ten.dh"
+    path.write_text(serialize(c))
+    return path
+
+
+def test_global_density_ten_qubits_under_memory_cap(ten_qubit_file):
+    proc = run_capped(
+        """
+import sys
+from dhsim.circuit import bind, parse
+from dhsim.descriptors import evolve
+from dhsim.reconstruct import global_density
+from dhsim.statevector import density, evolve_state, trace_distance
+
+with open(sys.argv[1]) as f:
+    bc = bind(parse(f.read()))
+print(trace_distance(global_density(evolve(bc)), density(evolve_state(bc))))
+""",
+        str(ten_qubit_file),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1e-10
+
+
+def test_cli_run_ten_qubits_under_memory_cap(ten_qubit_file):
+    proc = run_capped(
+        """
+import runpy, sys
+sys.argv = ["dhsim", "run", sys.argv[1], "--format", "json"]
+runpy.run_module("dhsim.cli", run_name="__main__")
+""",
+        str(ten_qubit_file),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dual_trace_distance"] < 1e-10
