@@ -9,8 +9,9 @@ Three subcommands:
 * ``demo``  -- packaged walkthroughs of the protocol scenarios.
 
 Exit codes are stable: 0 success, 1 parse error, 2 binding/input error,
-3 budget exceeded, 4 internal invariant violation (signals a bug).  The
-``DH_DENSE_BUDGET`` environment variable overrides the dense-size cap.
+3 budget exceeded or out of memory, 4 internal invariant violation
+(signals a bug).  The ``DH_DENSE_BUDGET`` environment variable overrides
+the dense-size cap.
 JSON output is deterministic for a fixed configuration and seed.
 """
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -45,8 +45,8 @@ from .infoflow import (
     DEFAULT_GRID_SEED,
     DESCRIPTOR_TOL,
     TRACE_TOL,
+    audit,
     classify_information,
-    contiguity_audit,
     descriptor_distance,
     grid_values,
 )
@@ -205,43 +205,13 @@ def cmd_run(args) -> int:
 # -- audit -----------------------------------------------------------------------
 
 
-def _verdict_task(packed):
-    circuit, qubit, param, base, at, grid, dtol, ttol, backend = packed
-    verdict = classify_information(
-        circuit,
-        qubit,
-        param,
-        base=base,
-        at=at,
-        grid=grid,
-        descriptor_tol=dtol,
-        trace_tol=ttol,
-        backend=backend,
-    )
-    return verdict
-
-
 def cmd_audit(args) -> int:
     circuit, source = _load_circuit(args)
-    if args.param not in circuit.params:
-        raise BindingError(f"symbol {args.param!r} is not declared by the circuit")
-    base = _parse_bindings(args.bind)
-    grid = grid_values(args.grid_points, args.seed)
-    qubits = [args.qubit] if args.qubit else list(range(1, circuit.n + 1))
-    tasks = [
-        (circuit, q, args.param, base, args.at, grid, args.descriptor_tol,
-         args.trace_tol, args.backend)
-        for q in qubits
-    ]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            verdicts = list(pool.map(_verdict_task, tasks))
-    else:
-        verdicts = [_verdict_task(t) for t in tasks]
-    report = contiguity_audit(
-        circuit, base=base, at=args.at, grid=grid,
-        tol=args.descriptor_tol, backend=args.backend,
+    verdicts, report = audit(
+        circuit, args.param, None if args.qubit is None else [args.qubit],
+        base=_parse_bindings(args.bind), at=args.at,
+        grid=grid_values(args.grid_points, args.seed),
+        descriptor_tol=args.descriptor_tol, trace_tol=args.trace_tol, backend=args.backend,
     )
     payload = {
         "source": source,
@@ -461,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_audit.add_argument("--descriptor-tol", type=float, default=DESCRIPTOR_TOL)
     p_audit.add_argument("--trace-tol", type=float, default=TRACE_TOL)
-    p_audit.add_argument("--jobs", type=int, default=0,
-                         help="worker processes for grid evaluation (0 = all cores)")
     p_audit.set_defaults(func=cmd_audit)
 
     p_demo = sub.add_parser("demo", help="run a packaged protocol walkthrough")
@@ -496,6 +464,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_BINDING
     except BudgetError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantError as err:
         print(f"internal error: {err}", file=sys.stderr)

@@ -13,10 +13,12 @@ means some grid pair moves the probe past a tolerance.  Probes:
 * global dependence   -- the full density moves in trace distance.
 
 The verdict classification is a pure function of the three booleans.
-The grid is deterministic, so rerunning a witness pair reproduces its
-distance; coincidental equality at all grid points is measure-zero but
-not impossible, which is the standard caveat of numerical dependence
-testing.
+The grid (at least two points) comes from stdlib ``random.Random(seed)``,
+so rerunning a witness pair reproduces its distance; coincidental
+equality at all grid points is measure-zero but not impossible, which is
+the standard caveat of numerical dependence testing.  A sweep evolves
+the symbol-free gate prefix once and forks every grid binding from it;
+`audit` runs all qubits and the contiguity audit from one such pass.
 
 A past interaction cone collects the gate positions reachable backward
 from a qubit through shared-qubit adjacency; a descriptor can only
@@ -25,13 +27,13 @@ audit asserts exactly that (a violation would indicate an engine bug).
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .circuit import Circuit, bind
-from .descriptors import Descriptor, NetworkState, evolve
+from .descriptors import Descriptor, NetworkState, apply_gate, evolve
 from .errors import BindingError, SizeMismatchError
 from .reconstruct import InitialState, global_density, reduced_density
 from .statevector import trace_distance
@@ -47,15 +49,19 @@ At = Union[int, str, None]
 def grid_values(
     count: int = DEFAULT_GRID_POINTS, seed: int = DEFAULT_GRID_SEED
 ) -> tuple[float, ...]:
-    """Deterministic pseudo-random sweep values in [0, 2pi)."""
-    rng = np.random.default_rng(seed)
-    return tuple(float(v) for v in rng.uniform(0.0, 2.0 * np.pi, size=count))
+    """Deterministic pseudo-random sweep values in [0, 2pi), from stdlib `random`."""
+    if seed < 0:
+        raise BindingError(f"grid seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
+    return tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(count))
 
 
 def descriptor_distance(a: Descriptor, b: Descriptor) -> float:
     """Max over the three components of the coefficient 2-norm gap."""
     if a.x.n != b.x.n:
         raise SizeMismatchError(f"descriptor sizes differ: {a.x.n} vs {b.x.n}")
+    if a is b:  # forked sweep states share every descriptor the suffix leaves alone
+        return 0.0
     return max((ca - cb).coeff_norm() for ca, cb in zip(a.components, b.components))
 
 
@@ -75,19 +81,6 @@ class Witness:
         }
 
 
-def _full_bindings(
-    c: Circuit, param: str, values: Sequence[float], base: Optional[Mapping[str, float]]
-) -> list[dict]:
-    if param not in c.params:
-        raise BindingError(f"symbol {param!r} is not declared by the circuit")
-    base = dict(base or {})
-    for name in base:
-        if name not in c.params:
-            raise BindingError(f"base binding names undeclared symbol {name!r}")
-    filled = {name: base.get(name, 0.0) for name in c.params if name != param}
-    return [dict(filled, **{param: v}) for v in values]
-
-
 def _scan_pairs(items, metric) -> tuple[float, tuple[int, int]]:
     worst, pair = 0.0, (0, 0)
     for i in range(len(items)):
@@ -105,10 +98,47 @@ def _dependence(
     return worst > tol, Witness(bindings[i], bindings[j], worst)
 
 
-def _evolved_states(
-    c: Circuit, bindings: list[dict], at: At, backend: str
-) -> list[NetworkState]:
-    return [evolve(bind(c, b), backend=backend, upto=at) for b in bindings]
+def _sweep(
+    c: Circuit, base: Optional[Mapping[str, float]], at: At,
+    grid: Optional[Sequence[float]], backend: str,
+):
+    """Return ``sweep(param) -> (bindings, states)`` over the grid.
+
+    The gates before the first symbol-carrying gate, cut at `at`, are the
+    same under every binding of every symbol: the first call evolves them
+    once and every grid binding continues from that shared state.  The
+    dense backend evolves each binding from scratch.
+    """
+    grid = tuple(grid) if grid is not None else grid_values()
+    if len(grid) < 2:
+        raise BindingError(f"a dependence grid needs at least 2 points, got {len(grid)}")
+    base = dict(base or {})
+    for name in base:
+        if name not in c.params:
+            raise BindingError(f"base binding names undeclared symbol {name!r}")
+    shared: list[NetworkState] = []
+
+    def sweep(param: str) -> tuple[list[dict], list[NetworkState]]:
+        if param not in c.params:
+            raise BindingError(f"symbol {param!r} is not declared by the circuit")
+        filled = {name: base.get(name, 0.0) for name in c.params if name != param}
+        bindings = [dict(filled, **{param: v}) for v in grid]
+        if backend == "dense":
+            return bindings, [evolve(bind(c, b), backend=backend, upto=at) for b in bindings]
+        stop = c.resolve_step(at)
+        bound = [bind(c, b) for b in bindings]
+        if not shared:
+            first = next((i for i, g in enumerate(c.gates) if g.symbol is not None), stop)
+            shared.append(evolve(bound[0], backend=backend, upto=min(first, stop)))
+        states = []
+        for bc in bound:
+            state = shared[0]
+            for gate in bc.gates[state.step:stop]:
+                state = apply_gate(state, gate)
+            states.append(state)
+        return bindings, states
+
+    return sweep
 
 
 def depends_descriptor(
@@ -123,11 +153,8 @@ def depends_descriptor(
     backend: str = "pauli",
 ) -> tuple[bool, Witness]:
     """Does the qubit's descriptor move when the parameter sweeps?"""
-    grid = tuple(grid) if grid is not None else grid_values()
-    bindings = _full_bindings(c, param, grid, base)
-    states = _evolved_states(c, bindings, at, backend)
-    descriptors = [s.descriptor(qubit) for s in states]
-    return _dependence(bindings, descriptors, descriptor_distance, tol)
+    bindings, states = _sweep(c, base, at, grid, backend)(param)
+    return _dependence(bindings, [s.descriptor(qubit) for s in states], descriptor_distance, tol)
 
 
 def depends_reduced(
@@ -144,9 +171,7 @@ def depends_reduced(
 ) -> tuple[bool, Witness]:
     """Does the subset's reduced density move when the parameter sweeps?"""
     subset = sorted(set(subset))
-    grid = tuple(grid) if grid is not None else grid_values()
-    bindings = _full_bindings(c, param, grid, base)
-    states = _evolved_states(c, bindings, at, backend)
+    bindings, states = _sweep(c, base, at, grid, backend)(param)
     densities = [reduced_density(s, subset, rho0) for s in states]
     return _dependence(bindings, densities, trace_distance, tol)
 
@@ -163,9 +188,7 @@ def depends_global(
     rho0: Optional[InitialState] = None,
 ) -> tuple[bool, Witness]:
     """Does the full density matrix move when the parameter sweeps?"""
-    grid = tuple(grid) if grid is not None else grid_values()
-    bindings = _full_bindings(c, param, grid, base)
-    states = _evolved_states(c, bindings, at, backend)
+    bindings, states = _sweep(c, base, at, grid, backend)(param)
     densities = [global_density(s, rho0) for s in states]
     return _dependence(bindings, densities, trace_distance, tol)
 
@@ -221,27 +244,64 @@ def classify_information(
     states.  ``locally-inaccessible`` means the triple and the global
     statistics move while the qubit's own reduced density does not.
     """
-    grid = tuple(grid) if grid is not None else grid_values()
-    bindings = _full_bindings(c, param, grid, base)
-    states = _evolved_states(c, bindings, at, backend)
-    d_dep, d_wit = _dependence(
-        bindings, [s.descriptor(qubit) for s in states], descriptor_distance, descriptor_tol
+    bindings, states = _sweep(c, base, at, grid, backend)(param)
+    return _verdicts(param, bindings, states, [qubit], descriptor_tol, trace_tol, rho0)[0]
+
+
+def audit(
+    c: Circuit,
+    param: str,
+    qubits: Optional[Iterable[int]] = None,
+    *,
+    base: Optional[Mapping[str, float]] = None,
+    at: At = None,
+    grid: Optional[Sequence[float]] = None,
+    descriptor_tol: float = DESCRIPTOR_TOL,
+    trace_tol: float = TRACE_TOL,
+    backend: str = "pauli",
+) -> tuple[tuple[DependenceVerdict, ...], ContiguityReport]:
+    """Classify each qubit (default: all) and audit contiguity in one pass.
+
+    Equal to `classify_information` per qubit plus `contiguity_audit` at
+    ``tol=descriptor_tol``, from one sweep of `param`; every other
+    audited symbol is swept once from the same shared prefix.
+    """
+    sweep = _sweep(c, base, at, grid, backend)
+    bindings, states = sweep(param)
+    qubits = range(1, c.n + 1) if qubits is None else qubits
+    verdicts = _verdicts(param, bindings, states, qubits, descriptor_tol, trace_tol, None)
+    report = _contiguity(
+        c, at, descriptor_tol, lambda p: (bindings, states) if p == param else sweep(p)
     )
-    r_dep, r_wit = _dependence(
-        bindings, [reduced_density(s, [qubit], rho0) for s in states], trace_distance, trace_tol
-    )
+    return verdicts, report
+
+
+def _verdicts(
+    param: str, bindings: list[dict], states: list[NetworkState], qubits: Iterable[int],
+    descriptor_tol: float, trace_tol: float, rho0: Optional[InitialState],
+) -> tuple[DependenceVerdict, ...]:
+    """Classify each qubit from one sweep; the global probe is shared."""
     g_dep, g_wit = _dependence(
         bindings, [global_density(s, rho0) for s in states], trace_distance, trace_tol
     )
-    return DependenceVerdict(
-        subject=qubit,
-        parameter=param,
-        descriptor_depends=d_dep,
-        reduced_depends=r_dep,
-        global_depends=g_dep,
-        classification=classification_of(d_dep, g_dep, r_dep),
-        witnesses={"descriptor": d_wit, "reduced": r_wit, "global": g_wit},
-    )
+    verdicts = []
+    for qubit in qubits:
+        d_dep, d_wit = _dependence(
+            bindings, [s.descriptor(qubit) for s in states], descriptor_distance, descriptor_tol
+        )
+        r_dep, r_wit = _dependence(
+            bindings, [reduced_density(s, [qubit], rho0) for s in states], trace_distance, trace_tol
+        )
+        verdicts.append(DependenceVerdict(
+            subject=qubit,
+            parameter=param,
+            descriptor_depends=d_dep,
+            reduced_depends=r_dep,
+            global_depends=g_dep,
+            classification=classification_of(d_dep, g_dep, r_dep),
+            witnesses={"descriptor": d_wit, "reduced": r_wit, "global": g_wit},
+        ))
+    return tuple(verdicts)
 
 
 # -- past cones and contiguity ---------------------------------------------------
@@ -343,7 +403,11 @@ def contiguity_audit(
     backend: str = "pauli",
 ) -> ContiguityReport:
     """Assert no descriptor depends on a parameter absent from its cone."""
-    grid = tuple(grid) if grid is not None else grid_values()
+    return _contiguity(c, at, tol, _sweep(c, base, at, grid, backend))
+
+
+def _contiguity(c: Circuit, at: At, tol: float, sweep) -> ContiguityReport:
+    """Sweep each audited parameter once; every qubit auditing it reads those states."""
     cones = tuple(past_cone(c, q, at) for q in range(1, c.n + 1))
     audited: dict[str, list[int]] = {}
     for cone in cones:
@@ -353,8 +417,7 @@ def contiguity_audit(
                 audited.setdefault(param, []).append(cone.qubit)
     checks = []
     for param, qubits in audited.items():
-        bindings = _full_bindings(c, param, grid, base)
-        states = _evolved_states(c, bindings, at, backend)
+        bindings, states = sweep(param)
         for qubit in qubits:
             depends, witness = _dependence(
                 bindings, [s.descriptor(qubit) for s in states], descriptor_distance, tol

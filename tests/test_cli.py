@@ -1,9 +1,16 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dhsim
+from dhsim.circuit import build_teleportation, parse
 from dhsim.cli import main
+from dhsim.infoflow import classify_information, contiguity_audit
 
 
 def run_cli(capsys, *argv):
@@ -112,7 +119,7 @@ def test_run_dense_backend_and_dump(capsys):
 def test_audit_teleport_after_bell(capsys):
     code, payload, _ = run_json(
         capsys, "audit", "--builtin", "teleport", "--param", "theta",
-        "--at", "after-bell", "--jobs", "1",
+        "--at", "after-bell",
     )
     assert code == 0
     by_qubit = {v["subject"]: v["classification"] for v in payload["verdicts"]}
@@ -124,7 +131,7 @@ def test_audit_teleport_after_bell(capsys):
 def test_audit_final_qubit_five_accessible(capsys):
     code, payload, _ = run_json(
         capsys, "audit", "--builtin", "teleport", "--param", "theta",
-        "--qubit", "5", "--jobs", "1",
+        "--qubit", "5",
     )
     assert code == 0
     assert payload["verdicts"][0]["classification"] == "locally-accessible"
@@ -132,8 +139,7 @@ def test_audit_final_qubit_five_accessible(capsys):
 
 def test_audit_bell_record_has_no_far_information(capsys):
     code, payload, _ = run_json(
-        capsys, "audit", "--builtin", "bell", "--param", "phi", "--qubit", "1",
-        "--jobs", "1",
+        capsys, "audit", "--builtin", "bell", "--param", "phi", "--qubit", "1"
     )
     assert code == 0
     assert payload["verdicts"][0]["classification"] == "no-information"
@@ -141,18 +147,113 @@ def test_audit_bell_record_has_no_far_information(capsys):
 
 def test_audit_undeclared_param_exit_code(capsys):
     code, _, err = run_cli(
-        capsys, "audit", "--builtin", "teleport", "--param", "zeta", "--jobs", "1"
+        capsys, "audit", "--builtin", "teleport", "--param", "zeta"
     )
     assert code == 2
     assert "zeta" in err
 
 
-def test_audit_parallel_matches_serial(capsys):
-    args = ("audit", "--builtin", "teleport", "--param", "theta", "--at", "after-bell")
-    code1, serial, _ = run_json(capsys, *args, "--jobs", "1")
-    code2, parallel, _ = run_json(capsys, *args, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert serial == parallel
+# A parameter-free Clifford prefix, then three symbol gates: the audit
+# evolves the prefix once and forks every sweep of every symbol from it.
+PREFIX_THEN_SYMBOLS = (
+    "qubits 4\nparam a\nparam b\nparam c\n"
+    "H 1\nCNOT 1 2\nS 2\nCNOT 2 3\nH 4\nCZ 3 4\nH 3\n"
+    "RY(a) 1\nRZ(b) 3\nCNOT 1 2\nPHASE(c) 4\nH 4\n"
+)
+
+
+@pytest.mark.parametrize("source", ["teleport", "prefix-then-symbols"])
+def test_audit_matches_per_qubit_classification_and_contiguity(tmp_path, capsys, source):
+    if source == "teleport":
+        circuit, argv = build_teleportation(), ("--builtin", "teleport")
+        param, at = "theta", "after-bell"
+    else:
+        path = tmp_path / "prefix.dh"
+        path.write_text(PREFIX_THEN_SYMBOLS)
+        circuit, argv = parse(PREFIX_THEN_SYMBOLS), (str(path),)
+        param, at = "a", None
+    at_args = ("--at", at) if at else ()
+    code, payload, _ = run_json(capsys, "audit", *argv, "--param", param, *at_args)
+    assert code == 0
+    want = [
+        classify_information(circuit, q, param, at=at).to_json()
+        for q in range(1, circuit.n + 1)
+    ]
+    assert payload["verdicts"] == want
+    assert payload["contiguity"] == contiguity_audit(circuit, at=at).to_json()
+    assert payload["contiguity"]["checks"]
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_audit_rejects_degenerate_grid(capsys, points):
+    code, out, err = run_cli(
+        capsys, "audit", "--builtin", "teleport", "--param", "theta", "--grid-points", points
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least 2 points" in err
+
+
+def test_audit_negative_seed_exit_code(capsys):
+    code, _, err = run_cli(
+        capsys, "audit", "--builtin", "teleport", "--param", "theta", "--seed", "-1"
+    )
+    assert code == 2
+    assert "seed" in err
+
+
+def test_audit_qubit_zero_exit_code(capsys):
+    code, _, err = run_cli(
+        capsys, "audit", "--builtin", "teleport", "--param", "theta", "--qubit", "0"
+    )
+    assert code == 2
+    assert "qubit 0" in err
+
+
+def run_child(code: str, *args: str, **env_extra: str) -> subprocess.CompletedProcess:
+    src = str(Path(dhsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+def test_audit_does_not_import_numpy_random():
+    # numpy.random adds several MiB to every audit process.
+    proc = run_child(
+        """
+import sys
+from dhsim.cli import main
+code = main(["audit", "--builtin", "teleport", "--param", "theta"])
+print(code, "numpy.random" in sys.modules)
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_run_out_of_memory_exit_code(tmp_path):
+    # A 13-qubit dense check under a 1 GiB address-space cap: the cap is
+    # set inside the child, so it limits only the child process.
+    path = tmp_path / "thirteen.dh"
+    path.write_text("qubits 13\nH 1\nCNOT 1 2\n")
+    proc = run_child(
+        """
+import resource, runpy, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+sys.argv = ["dhsim", "run", sys.argv[1]]
+runpy.run_module("dhsim.cli", run_name="__main__")
+""",
+        str(path),
+        DH_DENSE_BUDGET="13",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 def test_demo_superdense_table(capsys):

@@ -7,6 +7,8 @@ from dhsim.circuit import bind, build_bell_experiment, build_teleportation, pars
 from dhsim.descriptors import evolve, init_network
 from dhsim.errors import BindingError, SizeMismatchError
 from dhsim.infoflow import (
+    _sweep,
+    audit,
     classify_information,
     classification_of,
     cone_parameters,
@@ -69,6 +71,71 @@ def test_distance_size_mismatch():
 def test_grid_is_deterministic():
     assert grid_values() == grid_values()
     assert len(grid_values(7, seed=3)) == 7
+    assert all(0.0 <= v < 2.0 * np.pi for v in grid_values(50, seed=4))
+
+
+def test_grid_rejects_negative_seed():
+    with pytest.raises(BindingError):
+        grid_values(seed=-1)
+
+
+@pytest.mark.parametrize("grid", [(), (0.4,)])
+def test_degenerate_grid_rejected(grid):
+    c = build_teleportation()
+    with pytest.raises(BindingError):
+        classify_information(c, 2, "theta", grid=grid)
+    with pytest.raises(BindingError):
+        depends_descriptor(c, 2, "theta", grid=grid)
+    with pytest.raises(BindingError):
+        contiguity_audit(c, grid=grid)
+    with pytest.raises(BindingError):
+        audit(c, "theta", grid=grid)
+
+
+# -- the shared-prefix sweep ------------------------------------------------------------
+
+
+SYMBOL_FIRST = "qubits 3\nparam a\nparam b\nRY(a) 1\nCNOT 1 2\nH 3\nRZ(b) 3\nCNOT 2 3\n"
+PREFIX_THEN_SYMBOLS = (
+    "qubits 3\nparam a\nparam b\n"
+    "H 1\nCNOT 1 2\nS 2\nH 3\nCNOT 2 3\nRY(a) 1\nCNOT 1 3\nRZ(b) 2\nH 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, param, at, backend",
+    [
+        (SYMBOL_FIRST, "a", None, "pauli"),  # the first gate carries a symbol
+        (PREFIX_THEN_SYMBOLS, "b", None, "pauli"),
+        (PREFIX_THEN_SYMBOLS, "a", 3, "pauli"),  # `at` before the first symbol
+        (PREFIX_THEN_SYMBOLS, "b", 7, "pauli"),
+        (PREFIX_THEN_SYMBOLS, "a", None, "dense"),
+    ],
+)
+def test_sweep_states_equal_fresh_evolves(text, param, at, backend):
+    c = parse(text)
+    sweep = _sweep(c, {"a": 0.3}, at, grid_values(), backend)
+    for name in (param, *(p for p in c.params if p != param)):
+        bindings, states = sweep(name)
+        for b, state in zip(bindings, states):
+            fresh = evolve(bind(c, b), backend=backend, upto=at)
+            assert state.step == fresh.step
+            assert state.descriptors == fresh.descriptors
+            assert [(g.kind, g.qubits) for g in state.history] == [
+                (g.kind, g.qubits) for g in fresh.history
+            ]
+
+
+def test_audit_evolves_the_shared_prefix_once(monkeypatch):
+    import dhsim.infoflow as infoflow
+
+    calls = []
+    monkeypatch.setattr(
+        infoflow, "evolve", lambda bc, **kw: calls.append(kw) or evolve(bc, **kw)
+    )
+    verdicts, report = audit(parse(PREFIX_THEN_SYMBOLS), "a")
+    assert calls == [{"backend": "pauli", "upto": 5}]
+    assert len(verdicts) == 3 and report.checks
 
 
 # -- descriptor dependence ----------------------------------------------------------
