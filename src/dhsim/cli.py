@@ -457,7 +457,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BINDING
     except KeyError as err:
-        print(f"error: unknown checkpoint {err}", file=sys.stderr)
+        print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_BINDING
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,10 +8,12 @@ from the homomorphism property of conjugation:
     q_{j,m}(t+1) = sum_Q  w_Q * (product of time-t components named by Q)
 
 where ``g^dag sigma_m g = sum_Q w_Q Q`` is the *bare* rewrite of the
-arriving gate over local strings Q on the gate's support.  Only the
-gate's own qubits' descriptors change; components of every other qubit
-are reused untouched, which is what makes a descriptor depend solely on
-its past interaction cone.
+arriving gate over local strings Q on the gate's support.  One rule
+serves every gate arity: Q holds one letter per gate qubit, and the
+product takes that qubit's time-t component for each non-identity
+letter, in gate-qubit order.  Only the gate's own qubits' descriptors
+change; components of every other qubit are reused untouched, which is
+what makes a descriptor depend solely on its past interaction cone.
 
 Two interchangeable backends:
 
@@ -26,8 +28,10 @@ neither shares gate-application code with the state-vector simulator.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +45,7 @@ from .pauli import (
     PauliSum,
     commutator,
     decompose,
-    sum_add,
+    sum_combine,
     sum_mul,
     sum_scale,
 )
@@ -61,13 +65,9 @@ class Descriptor:
     z: PauliSum
 
     def component(self, m: int) -> PauliSum:
-        if m == 1:
-            return self.x
-        if m == 2:
-            return self.y
-        if m == 3:
-            return self.z
-        raise ValueError(f"component index must be 1..3, got {m}")
+        if m not in (1, 2, 3):
+            raise ValueError(f"component index must be 1..3, got {m}")
+        return self.components[m - 1]
 
     @property
     def components(self) -> tuple[PauliSum, PauliSum, PauliSum]:
@@ -139,7 +139,7 @@ def init_network(n: int, *, max_qubits: Optional[int] = None) -> NetworkState:
 class RewriteTable:
     """Images of bare local strings under V^dag (.) V for one gate.
 
-    `entries` maps a local letter tuple (length 1 or 2, letters 0..3,
+    `entries` maps a local letter tuple (one letter 0..3 per gate qubit,
     not all identity) to a tuple of ``(real weight, local letters)``
     terms.  Images are traceless and carry real weights because the
     conjugate of a Hermitian traceless operator is Hermitian traceless.
@@ -160,9 +160,7 @@ def _snap(value: float) -> float:
 
 
 def _local_letter_tuples(arity: int):
-    if arity == 1:
-        return [(m,) for m in range(4)]
-    return [(a, b) for a in range(4) for b in range(4)]
+    return itertools.product(range(4), repeat=arity)
 
 
 def _local_dense(letters: tuple[int, ...]) -> np.ndarray:
@@ -180,11 +178,9 @@ def build_rewrite_table(gate_or_matrix, qubits: Optional[Sequence[int]] = None) 
     reproduce dense conjugation to 1e-12.
     """
     if isinstance(gate_or_matrix, BoundGate):
-        matrix = np.asarray(gate_or_matrix.matrix)
-        arity = len(gate_or_matrix.qubits)
-    else:
-        matrix = np.asarray(gate_or_matrix, dtype=complex)
-        arity = len(tuple(qubits))
+        gate_or_matrix, qubits = gate_or_matrix.matrix, gate_or_matrix.qubits
+    matrix = np.asarray(gate_or_matrix, dtype=complex)
+    arity = len(tuple(qubits))
     if matrix.shape != (2**arity, 2**arity) or not is_unitary(matrix, 1e-10):
         raise ValueError("gate matrix is not unitary")
     dim = 2**arity
@@ -220,11 +216,12 @@ def build_rewrite_table(gate_or_matrix, qubits: Optional[Sequence[int]] = None) 
 _TABLE_CACHE: dict = {}
 
 
-def _cached_table(gate: BoundGate) -> RewriteTable:
-    key = (len(gate.qubits), gate.matrix.tobytes())
+def _cached_table(matrix: np.ndarray, qubits: Sequence[int]) -> RewriteTable:
+    matrix = np.asarray(matrix, dtype=complex)
+    key = (len(qubits), matrix.tobytes())
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = build_rewrite_table(gate.matrix, gate.qubits)
+        table = build_rewrite_table(matrix, qubits)
         if len(_TABLE_CACHE) > 4096:
             _TABLE_CACHE.clear()
         _TABLE_CACHE[key] = table
@@ -235,53 +232,35 @@ def _cached_table(gate: BoundGate) -> RewriteTable:
 
 
 def apply_gate(state: NetworkState, gate: BoundGate) -> NetworkState:
-    """Advance the network by one gate.
+    """Advance the network by one gate of any arity.
 
-    Only the descriptors of the gate's own qubits are recomputed; every
-    other triple is carried over unchanged (contiguity).
+    Each new component of a gate qubit is one weighted merge of the
+    old-component products named by its table image; each product is
+    formed once per gate.  Every other triple is carried over unchanged
+    (contiguity).
     """
     for q in gate.qubits:
         if not 1 <= q <= state.n:
             raise ValueError(f"gate qubit {q} outside 1..{state.n}")
-    table = _cached_table(gate)
+    table = _cached_table(gate.matrix, gate.qubits)
+    old = [state.descriptor(q) for q in gate.qubits]
+    products: dict = {}
+
+    def evolved_local(letters: tuple[int, ...]) -> PauliSum:
+        if letters not in products:
+            products[letters] = reduce(
+                sum_mul, (d.component(m) for d, m in zip(old, letters) if m)
+            )
+        return products[letters]
+
     descriptors = list(state.descriptors)
-    if len(gate.qubits) == 1:
-        (j,) = gate.qubits
-        old = state.descriptor(j)
-        new = [PauliSum.zero(state.n)] * 3
+    for i, q in enumerate(gate.qubits):
+        new = []
         for m in (1, 2, 3):
-            acc = PauliSum.zero(state.n)
-            for weight, (a,) in table.image((m,)):
-                acc = sum_add(acc, sum_scale(old.component(a), weight))
-            new[m - 1] = acc
-        descriptors[j - 1] = Descriptor(j, *new)
-    else:
-        j, k = gate.qubits
-        dj, dk = state.descriptor(j), state.descriptor(k)
-        products: dict = {}
-
-        def evolved_local(a: int, b: int) -> PauliSum:
-            got = products.get((a, b))
-            if got is None:
-                if a == 0 and b == 0:
-                    got = PauliSum.identity(state.n)
-                elif b == 0:
-                    got = dj.component(a)
-                elif a == 0:
-                    got = dk.component(b)
-                else:
-                    got = sum_mul(dj.component(a), dk.component(b))
-                products[(a, b)] = got
-            return got
-
-        def rebuild(local: tuple[int, int]) -> PauliSum:
-            acc = PauliSum.zero(state.n)
-            for weight, (c, d) in table.image(local):
-                acc = sum_add(acc, sum_scale(evolved_local(c, d), weight))
-            return acc
-
-        descriptors[j - 1] = Descriptor(j, *(rebuild((m, 0)) for m in (1, 2, 3)))
-        descriptors[k - 1] = Descriptor(k, *(rebuild((0, m)) for m in (1, 2, 3)))
+            local = tuple(m if p == i else 0 for p in range(len(old)))
+            image = table.image(local)
+            new.append(sum_combine([(w, evolved_local(ls)) for w, ls in image]))
+        descriptors[q - 1] = Descriptor(q, *new)
     return NetworkState(
         state.n, state.step + 1, tuple(descriptors), state.history + (gate,)
     )
@@ -290,18 +269,14 @@ def apply_gate(state: NetworkState, gate: BoundGate) -> NetworkState:
 # -- outer conjugation of arbitrary sums ------------------------------------------
 
 
-def conjugate_sum(s: PauliSum, gate_or_matrix, qubits: Optional[Sequence[int]] = None) -> PauliSum:
-    """Return V^dag s V for a gate acting on the given qubits.
+def conjugate_sum(s: PauliSum, matrix: np.ndarray, qubits: Sequence[int]) -> PauliSum:
+    """Return V^dag s V for a unitary V acting on the given qubits.
 
     Rewrites the support letters of every term through the gate's
     table; terms that are identity on the support pass through.
     """
-    if isinstance(gate_or_matrix, BoundGate):
-        table = _cached_table(gate_or_matrix)
-        support = gate_or_matrix.qubits
-    else:
-        support = tuple(qubits)
-        table = build_rewrite_table(gate_or_matrix, support)
+    support = tuple(qubits)
+    table = _cached_table(matrix, support)
     keys, coeffs = [], []
     for label, coeff in s.terms().items():
         string = PauliString.from_label(label)
@@ -332,7 +307,7 @@ def evolve_observable(
         raise ValueError("observable size does not match circuit")
     out = observable
     for gate in reversed(bc.prefix(upto)):
-        out = conjugate_sum(out, gate)
+        out = conjugate_sum(out, gate.matrix, gate.qubits)
     return out
 
 
@@ -423,25 +398,17 @@ def gamma_product(state: NetworkState, selection: Sequence[int]) -> PauliSum:
     """
     if len(selection) != state.n:
         raise ValueError(f"selection needs {state.n} entries")
-    acc = PauliSum.identity(state.n)
-    for qubit, m in enumerate(selection, start=1):
-        if m == 0:
-            continue
-        if m not in (1, 2, 3):
-            raise ValueError(f"selection entries must be 0..3, got {m}")
-        acc = sum_mul(acc, state.descriptor(qubit).component(m))
-    return sum_scale(acc, 2 ** (-state.n / 2))
+    product = component_product(state, dict(enumerate(selection, start=1)))
+    return sum_scale(product, 2 ** (-state.n / 2))
 
 
 def component_product(state: NetworkState, selection: dict) -> PauliSum:
-    """Product over ``{qubit: m}`` entries (m in 1..3), unscaled."""
-    acc = PauliSum.identity(state.n)
-    for qubit in sorted(selection):
-        m = selection[qubit]
-        if m == 0:
-            continue
-        acc = sum_mul(acc, state.descriptor(qubit).component(m))
-    return acc
+    """Product over ``{qubit: m}`` entries in qubit order, unscaled (m = 0 is I)."""
+    return reduce(
+        sum_mul,
+        (state.descriptor(q).component(m) for q, m in sorted(selection.items()) if m),
+        PauliSum.identity(state.n),
+    )
 
 
 # -- consistency checks -----------------------------------------------------------

@@ -25,7 +25,7 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -286,7 +286,7 @@ class PauliSum:
         return sum_add(self, other)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return sum_add(self, sum_scale(other, -1.0))
+        return sum_combine([(1.0, self), (-1.0, other)])
 
     def __neg__(self) -> "PauliSum":
         return sum_scale(self, -1.0)
@@ -342,15 +342,26 @@ def _require_same_n(a: PauliSum, b: PauliSum):
         raise SizeMismatchError(f"sum sizes differ: {a.n} vs {b.n}")
 
 
+def sum_combine(weighted: Sequence[tuple[complex, PauliSum]]) -> PauliSum:
+    """The weighted sum ``w_1 s_1 + w_2 s_2 + ...`` of at least one sum.
+
+    All terms are concatenated and merged by one `_canonical` pass, so a
+    coefficient is pruned only once its whole sum is known.
+    """
+    first = weighted[0][1]
+    for _, s in weighted:
+        _require_same_n(first, s)
+    keys = np.concatenate([s._keys for _, s in weighted])
+    coeffs = np.concatenate([s._coeffs * complex(w) for w, s in weighted])
+    return PauliSum(first.n, keys, coeffs)
+
+
 def sum_add(a: PauliSum, b: PauliSum) -> PauliSum:
-    _require_same_n(a, b)
-    keys = np.concatenate([a._keys, b._keys])
-    coeffs = np.concatenate([a._coeffs, b._coeffs])
-    return PauliSum(a.n, keys, coeffs)
+    return sum_combine([(1.0, a), (1.0, b)])
 
 
 def sum_scale(a: PauliSum, scalar: complex) -> PauliSum:
-    return PauliSum(a.n, a._keys, a._coeffs * complex(scalar))
+    return sum_combine([(scalar, a)])
 
 
 def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -376,7 +387,7 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    return sum_add(sum_mul(a, b), sum_scale(sum_mul(b, a), -1.0))
+    return sum_mul(a, b) - sum_mul(b, a)
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> complex:

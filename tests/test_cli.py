@@ -99,10 +99,12 @@ def test_run_budget_exit_code(capsys, monkeypatch):
 
 
 def test_run_unknown_checkpoint_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys, "run", "--builtin", "teleport", "--bind", "theta=0", "--at", "nowhere"
-    )
-    assert code == 2
+    for at in ("nowhere", "-1"):
+        code, _, err = run_cli(
+            capsys, "run", "--builtin", "teleport", "--bind", "theta=0", "--at", at
+        )
+        assert code == 2
+        assert err == f"error: unknown checkpoint '{at}'\n"
 
 
 def test_run_dense_backend_and_dump(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import circuit_unitary, embed, random_circuit
 
-from dhsim.circuit import Circuit, Gate, bind, build_teleportation, parse
+from dhsim.circuit import BoundGate, Circuit, Gate, bind, build_teleportation, parse
 from dhsim.descriptors import (
     algebra_deviation,
     apply_gate,
@@ -119,12 +119,36 @@ def test_table_rejects_non_unitary():
 # -- gate application -----------------------------------------------------------
 
 
-def test_gate_elsewhere_leaves_descriptor_untouched():
-    state = init_network(2)
-    gate = bind(parse("qubits 2\nH 2\n")).gates[0]
+@pytest.mark.parametrize(
+    "source, untouched",
+    [("qubits 2\nH 2\n", 1), ("qubits 3\nCNOT 3 1\n", 2)],
+    ids=["one-qubit", "two-qubit"],
+)
+def test_gate_elsewhere_leaves_descriptor_untouched(source, untouched):
+    # The same object, not an equal one: descriptor_distance relies on it.
+    bc = bind(parse(source))
+    state = init_network(bc.n)
+    gate = bc.gates[0]
     after = apply_gate(state, gate)
-    assert after.descriptor(1) is state.descriptor(1)
+    assert after.descriptor(untouched) is state.descriptor(untouched)
     assert after.step == 1 and after.history == (gate,)
+
+
+def test_three_qubit_gate_matches_dense_conjugation():
+    # The update rule is arity-generic; the parser only makes 1- and
+    # 2-qubit gates, so the gate is built directly.
+    rng = np.random.default_rng(41)
+    bc = bind(parse("qubits 4\nH 1\nRY(0.4) 2\nCNOT 2 4\nRZ(1.1) 3\n"))
+    gate = BoundGate("U3", (3, 1, 4), random_haar(rng, 8))
+    state = apply_gate(evolve(bc), gate)
+    u = embed(gate.matrix, gate.qubits, 4) @ circuit_unitary(bc)
+    for q in range(1, 5):
+        for m in (1, 2, 3):
+            letters = [0] * 4
+            letters[q - 1] = m
+            bare = to_dense(PauliSum.from_string(PauliString.from_letters(letters)))
+            got = to_dense(state.descriptor(q).component(m))
+            assert np.max(np.abs(got - u.conj().T @ bare @ u)) < 1e-10
 
 
 def test_interaction_imports_earlier_local_operation():
