@@ -11,7 +11,7 @@ Three subcommands:
 Exit codes are stable: 0 success, 1 parse error, 2 binding/input error,
 3 budget exceeded or out of memory, 4 internal invariant violation
 (signals a bug).  The ``DH_DENSE_BUDGET`` environment variable overrides
-the dense-size cap.
+the qubit limit of the global density and the dual-picture check.
 JSON output is deterministic for a fixed configuration and seed.
 """
 from __future__ import annotations
@@ -77,10 +77,9 @@ def _dense_budget() -> int:
     raw = os.environ.get("DH_DENSE_BUDGET")
     if raw is None:
         return DENSE_QUBITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise BindingError(f"DH_DENSE_BUDGET must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal():
+        raise BindingError(f"DH_DENSE_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _load_circuit(args) -> tuple[Circuit, str]:

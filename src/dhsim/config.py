@@ -1,8 +1,8 @@
 """Default resource limits.
 
 Functions that can allocate large objects take keyword overrides; these
-constants are only the fallbacks.  The CLI additionally honours the
-``DH_DENSE_BUDGET`` environment variable for `DENSE_QUBITS`.
+constants are only the fallbacks.  The CLI reads the ``DH_DENSE_BUDGET``
+environment variable in place of `DENSE_QUBITS` for the dual-picture check.
 """
 
 # Coefficients below this magnitude are dropped after every sum/product.
@@ -13,7 +13,8 @@ PRUNE_EPS = 1e-14
 # truncates.
 TERM_BUDGET = 1_000_000
 
-# Largest n for which dense 2**n x 2**n objects may be materialized.
+# Largest n for which dense 2**n x 2**n objects may be materialized; no
+# reconstruction block may hold more entries than such a matrix either.
 DENSE_QUBITS = 10
 
 # Largest network the descriptor engine will initialize.

@@ -413,25 +413,27 @@ def _check_dense_budget(n: int, dense_budget):
         raise BudgetError(f"dense form of {n} qubits exceeds the budget of {limit}")
 
 
-def _string_action(n: int, keys: np.ndarray):
-    """How strings act on the computational basis, in blocks of terms.
+def _string_action(n: int, keys: np.ndarray, basis: np.ndarray | None = None):
+    """How strings act on basis states, in blocks of terms.
 
     A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>.
-    Yields ``(block, rows, factors)``: for term t of ``keys[block]``,
-    ``rows[t, b]`` is b^x_t and ``factors[t, b]`` that phase and sign.
-    A block holds about 2**16 entries (1 MiB of complex factors).
+    `basis` holds the states b acted on, as uint64 (default: all 2**n in
+    order).  Yields ``(block, rows, factors)``: for term t of
+    ``keys[block]`` and state ``basis[j]``, ``rows[t, j]`` is b^x_t and
+    ``factors[t, j]`` that phase and sign.  A block holds about 2**16
+    entries (1 MiB of complex factors).
     """
-    dim = 1 << n
-    basis = np.arange(dim, dtype=np.uint64)
-    mask = np.uint64(dim - 1)
-    size = max(1, (1 << 16) >> n)
+    if basis is None:
+        basis = np.arange(1 << n, dtype=np.uint64)
+    mask = np.uint64((1 << n) - 1)
+    size = max(1, (1 << 16) // len(basis))
     for start in range(0, len(keys), size):
         block = slice(start, start + size)
         key = keys[block, None]
         x, z = key & mask, key >> np.uint64(n)
-        signs = 1 - 2 * (_popcount(z & basis) & 1)
-        factors = _POWERS_OF_I[_popcount(x & z) % 4] * signs
-        yield block, (basis ^ x).astype(np.intp), factors
+        # One expression: no sign array stays alive while the caller works.
+        factors = _POWERS_OF_I[_popcount(x & z) % 4] * (1 - 2 * (_popcount(z & basis) & 1))
+        yield block, basis ^ x, factors
 
 
 def _tensor_index(n: int, keys: np.ndarray) -> np.ndarray:
@@ -473,7 +475,7 @@ def to_dense(s: PauliSum, *, dense_budget: int | None = None) -> np.ndarray:
     out = np.zeros(dim * dim, dtype=np.complex128)
     cols = np.arange(dim)
     for block, rows, factors in _string_action(s.n, s._keys):
-        np.add.at(out, rows * dim + cols, s._coeffs[block, None] * factors)
+        np.add.at(out, rows.astype(np.intp) * dim + cols, s._coeffs[block, None] * factors)
     return out.reshape(dim, dim)
 
 

@@ -7,28 +7,24 @@ density of the full network is
     rho(t) = 2**-n * sum over selections <prod_i q_{i,m_i}(t)>  prod_i sigma_{m_i}
 
 and a reduced density over a subset S replaces n by |S| and restricts
-the selections to S.  Expectation queries for single selections are
-evaluated lazily by multiplying the selected component sums and
-contracting coefficients against the initial state.  The full sum over
-selections is only materialized when a dense matrix is requested: the
-qubits split into two halves, each half's component products are
-applied to the initial vector as a 2**n x 4**(n/2) column block, and
-one product of the two blocks gives all 4**n expectations.
-
-Expectations against the standard state |0...0> use coefficient lookup:
-a string contributes its coefficient iff its letters are all I or Z.
+the selections to S.  One function, `_expectation_tensor`, evaluates
+every <psi0| prod q |psi0>, a single product or all 4**|S| at once.  A
+string (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>, so component
+products applied to psi0 are column blocks on the few basis states they
+reach.  Budgets count the entries of those blocks, not qubits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .config import DENSE_QUBITS
-from .descriptors import NetworkState, component_product, conjugate_sum
+from .descriptors import NetworkState, conjugate_sum
 from .errors import BudgetError, GaugeError, InvariantError
-from .pauli import PauliSum, _coeff_tensor_to_dense, _string_action, sum_mul, to_dense
+from .pauli import PauliSum, _coeff_tensor_to_dense, _string_action
 from .statevector import DensityMatrix, StateVector
 
 _REAL_ATOL = 1e-10
@@ -58,14 +54,15 @@ class InitialState:
     def custom(cls, vector: StateVector) -> "InitialState":
         return cls("custom", vector)
 
-    def amplitudes(self, n: int) -> np.ndarray:
+    def block(self, n: int):
+        """The state as a one-column block on its nonzero amplitudes."""
         if self.kind == "standard":
-            amps = np.zeros(2**n, dtype=np.complex128)
-            amps[0] = 1.0
-            return amps
+            return np.zeros(1, dtype=np.uint64), np.ones((1, 1), dtype=np.complex128)
         if self.vector.n != n:
             raise ValueError(f"initial state has {self.vector.n} qubits, need {n}")
-        return np.asarray(self.vector.amplitudes)
+        amps = np.asarray(self.vector.amplitudes)
+        support = np.flatnonzero(amps)
+        return support.astype(np.uint64), amps[support, None]
 
 
 def normalize_selection(selection: Mapping[int, int], n: int) -> dict[int, int]:
@@ -81,31 +78,9 @@ def normalize_selection(selection: Mapping[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def _pauli_expectation_zero(s: PauliSum) -> complex:
-    """<0...0| s |0...0>: only strings over {I, Z} contribute."""
-    keys = s.keys()
-    coeffs = s.coeffs()
-    x_plane = keys & np.uint64((1 << s.n) - 1)
-    return complex(np.sum(coeffs[x_plane == 0]))
-
-
-def _pauli_expectation_pure(s: PauliSum, psi: np.ndarray) -> complex:
-    """<psi| s |psi> over blocks of strings.
-
-    A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>,
-    so its expectation is sum_b conj(psi[b^x]) i**|x&z| (-1)**|z&b| psi[b].
-    """
-    coeffs = s.coeffs()
-    total = 0.0 + 0.0j
-    for block, rows, factors in _string_action(s.n, s.keys()):
-        total += coeffs[block] @ ((psi[rows].conj() * factors) @ psi)
-    return complex(total)
-
-
 def pauli_expectation(s: PauliSum, rho0: InitialState) -> complex:
-    if rho0.kind == "standard":
-        return _pauli_expectation_zero(s)
-    return _pauli_expectation_pure(s, rho0.amplitudes(s.n))
+    """<psi0| s |psi0> for any sum, Hermitian or not."""
+    return complex(_expectation_tensor([[s]], rho0, DENSE_QUBITS)[0])
 
 
 def expectation_of_product(
@@ -113,10 +88,12 @@ def expectation_of_product(
     selection: Mapping[int, int],
     rho0: Optional[InitialState] = None,
 ) -> float:
-    """<rho0| prod_{i in sel} q_{i,m_i}(t) |rho0>, evaluated lazily."""
+    """<rho0| prod_{i in sel} q_{i,m_i}(t) |rho0>: one column per block."""
     rho0 = rho0 or InitialState.standard()
     sel = normalize_selection(selection, state.n)
-    value = pauli_expectation(component_product(state, sel), rho0)
+    factors = [[state.descriptor(q).component(m)] for q, m in sorted(sel.items())]
+    factors = factors or [[PauliSum.identity(state.n)]]
+    value = _expectation_tensor(factors, rho0, DENSE_QUBITS).item()
     if abs(value.imag) > _REAL_ATOL:
         raise InvariantError(f"product expectation has imaginary part {value.imag}")
     return float(value.real)
@@ -148,54 +125,111 @@ def expectation_table(
     }
 
 
-# -- dense assembly ------------------------------------------------------------
+# -- sparse column blocks --------------------------------------------------------
+#
+# A block (support, matrix) holds the vectors sum_r matrix[r, j] |support[r]>,
+# one per column j, on a sorted uint64 array of basis states.
 
 
-def _apply_components(
-    state: NetworkState, qubits: Sequence[int], psi0: np.ndarray, dense_budget: Optional[int]
-) -> np.ndarray:
-    """Columns prod_{q in qubits} q_{q,m_q}(t) |psi0> for all 4**k selections.
+def _check_entries(rows: int, cols: int, limit: int):
+    if rows * cols > 4**limit:
+        raise BudgetError(f"a {rows} x {cols} block exceeds the 2**{limit} x 2**{limit} budget")
 
-    The last qubit applied carries the largest column stride, so columns
-    are row-major over (m_last .. m_first).  Components go dense one at a time.
+
+def _distinct(*arrays: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries; np.unique would import numpy.ma, 40 ms a run."""
+    values = np.sort(np.concatenate(arrays, axis=None))
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
+def _image(support: np.ndarray, sums: Sequence[PauliSum], width: int, limit: int):
+    """Sorted basis states that strings of `sums` reach from `support`.
+
+    Only the distinct x planes matter; the image is checked as the rows
+    of a block `width` wide.
     """
-    cols = psi0.reshape(-1, 1)
-    for q in qubits:
-        blocks = [cols]
-        for m in (1, 2, 3):
-            dense = to_dense(state.descriptor(q).component(m), dense_budget=dense_budget)
-            blocks.append(dense @ cols)
-        cols = np.hstack(blocks)
-    return cols
+    n = sums[0].n
+    xs = _distinct(*[s._keys & np.uint64((1 << n) - 1) for s in sums])
+    image = np.empty(0, dtype=np.uint64)
+    step = max(1, (1 << 16) // len(support))
+    for start in range(0, len(xs), step):
+        image = _distinct(image, support ^ xs[start : start + step, None])
+        _check_entries(len(image), width, limit)
+    return image
+
+
+def _restricted(s: PauliSum, support: np.ndarray, rows: np.ndarray, limit: int):
+    """Dense matrix of `s` from the states `support` to the states `rows`.
+
+    Both are sorted; a string image outside `rows` is dropped.
+    """
+    _check_entries(len(rows), len(support), limit)
+    out = np.zeros((len(rows), len(support)), dtype=np.complex128)
+    cols = np.arange(len(support))
+    for terms, targets, factors in _string_action(s.n, s._keys, support):
+        at = np.minimum(np.searchsorted(rows, targets), len(rows) - 1)
+        factors *= s._coeffs[terms, None]
+        factors *= rows[at] == targets
+        np.add.at(out, (at, cols), factors)
+    return out
+
+
+def _apply(block, sums: Sequence[PauliSum], limit: int):
+    """Each sum of `sums` applied to every column, side by side.
+
+    Column m*w + j holds sums[m] applied to column j of the w-wide block,
+    so the sums applied last carry the largest stride.
+    """
+    support, matrix = block
+    rows = _image(support, sums, len(sums) * matrix.shape[1], limit)
+    out = np.empty((len(rows), len(sums), matrix.shape[1]), dtype=np.complex128)
+    for m, s in enumerate(sums):
+        out[:, m] = _restricted(s, support, rows, limit) @ matrix
+    return rows, out.reshape(len(rows), -1)
 
 
 def _expectation_tensor(
-    state: NetworkState,
-    qubits: Sequence[int],
-    psi0: np.ndarray,
-    dense_budget: Optional[int],
+    factors: Sequence[Sequence[PauliSum]], rho0: InitialState, limit: int
 ) -> np.ndarray:
-    """All 4**k expectations <psi0| prod_{q in qubits} q_{q,m_q}(t) |psi0>.
+    """<psi0| f_1 f_2 ... f_k |psi0> for every choice of f_i in factors[i].
 
-    Returns a [4]*k tensor with axes ordered (m_{q_k}, ..., m_{q_1}) for
-    qubits sorted ascending (largest qubit's axis first), matching the
-    coefficient-tensor convention of the dense converter.
+    Returns a complex tensor with axes (f_k, ..., f_1): for lists
+    [I, q_x, q_y, q_z] of ascending qubits, the coefficient-tensor
+    convention of the dense converter.  Factors of different lists must
+    commute and be Hermitian, as components of distinct qubits are.
 
-    Meet in the middle: components of distinct qubits commute and are
-    Hermitian, so for a lower half A and upper half B of the sorted qubits
-    <psi0| P_A P_B |psi0> = (P_A psi0)^dagger (P_B psi0), one product of
-    two 2**n x 4**(k/2) column blocks instead of one 2**n x 4**k block.
+    Meet in the middle: the lower half of the lists, applied to psi0, is
+    a bra block A; the rest but the last list a ket block B.  Each factor
+    f of the last list maps B's support into A's, so <psi0| P_A f P_B
+    |psi0> = (P_A psi0)^dagger f (P_B psi0).  No block or restricted
+    matrix may outgrow a 2**limit x 2**limit matrix (`BudgetError`).
     """
-    qubits = sorted(qubits)
-    half = len(qubits) // 2
-    left = _apply_components(state, qubits[:half], psi0, dense_budget)
-    right = _apply_components(state, qubits[half:], psi0, dense_budget)
-    # rows index B's selections (m_{q_k} .. m_{q_half+1}), columns A's
-    # (m_{q_half} .. m_{q_1}): row-major, that is (m_{q_k} .. m_{q_1}).
-    values = right.T @ left.conj()
+    half = len(factors) // 2
+    *upper, top = factors[half:]
+    apply, start = partial(_apply, limit=limit), rho0.block(factors[0][0].n)
+    bra_support, bra = reduce(apply, factors[:half], start)
+    ket_support, ket = reduce(apply, upper, start)
+    bra = bra.conj()
+    values = np.stack(
+        [(_restricted(f, ket_support, bra_support, limit) @ ket).T @ bra for f in top]
+    )
+    return values.reshape([len(f) for f in reversed(factors)])
+
+
+def _density(
+    state: NetworkState, qubits: Sequence[int], rho0: Optional[InitialState], limit: int
+) -> DensityMatrix:
+    """Density over `qubits` (sorted), little-endian in that order."""
+    k = len(qubits)
+    if k > limit:
+        raise BudgetError(f"density of {k} qubits exceeds the budget of {limit}")
+    identity = PauliSum.identity(state.n)
+    factors = [[identity, *state.descriptor(q).components] for q in qubits]
+    values = _expectation_tensor(factors, rho0 or InitialState.standard(), limit)
     if np.max(np.abs(values.imag)) > _REAL_ATOL:
         raise InvariantError("selection expectations are not real")
-    return values.real.reshape([4] * len(qubits))
+    dense = _coeff_tensor_to_dense(values.real.astype(np.complex128)) / 2**k
+    return DensityMatrix(k, dense)
 
 
 def global_density(
@@ -206,53 +240,12 @@ def global_density(
 ) -> DensityMatrix:
     """The full network density matrix from descriptors alone.
 
-    `_expectation_tensor` splits the qubits in halves, so the largest
-    arrays are two 2**n x 4**(n/2) column blocks and 4**n tensors:
-    80-110 MiB at n=10, where one 2**n x 4**n block would take 16 GiB.
-    Time goes to the 3n dense components, the product of the blocks and
-    validating the result.
+    More than `dense_budget` qubits (default `DENSE_QUBITS`) raise
+    `BudgetError`.  The largest arrays are then the 4**n tensor, the
+    density and column blocks of at most 2**n x 4**(n/2) entries.
     """
     limit = DENSE_QUBITS if dense_budget is None else dense_budget
-    if state.n > limit:
-        raise BudgetError(
-            f"global density of {state.n} qubits exceeds the budget of {limit}"
-        )
-    rho0 = rho0 or InitialState.standard()
-    psi0 = rho0.amplitudes(state.n)
-    tensor = _expectation_tensor(state, range(1, state.n + 1), psi0, limit)
-    dense = _coeff_tensor_to_dense(tensor.astype(np.complex128)) / 2**state.n
-    return DensityMatrix(state.n, dense)
-
-
-def _selection_expectations(
-    state: NetworkState, qubits: list[int], rho0: InitialState
-) -> np.ndarray:
-    """Lazy [4]*k expectation tensor via prefix-reusing sum products.
-
-    No dense objects of the full network are formed, so this works for
-    any n the engine itself can hold.  Axes are (m_max .. m_min) as in
-    `_expectation_tensor`; cross-qubit components commute, so building
-    prefixes from the largest qubit down is equivalent.
-    """
-    k = len(qubits)
-    out = np.zeros([4] * k)
-    descending = sorted(qubits, reverse=True)
-
-    def descend(prefix: PauliSum, index: tuple[int, ...]):
-        depth = len(index)
-        if depth == k:
-            value = pauli_expectation(prefix, rho0)
-            if abs(value.imag) > _REAL_ATOL:
-                raise InvariantError("selection expectation is not real")
-            out[index] = value.real
-            return
-        qubit = descending[depth]
-        descend(prefix, index + (0,))
-        for m in (1, 2, 3):
-            descend(sum_mul(prefix, state.descriptor(qubit).component(m)), index + (m,))
-
-    descend(PauliSum.identity(state.n), ())
-    return out
+    return _density(state, range(1, state.n + 1), rho0, limit)
 
 
 def reduced_density(
@@ -262,19 +255,15 @@ def reduced_density(
 ) -> DensityMatrix:
     """Reduced density over `subset`, little-endian in the sorted subset.
 
-    Only 4**|subset| selection expectations are evaluated, each on the
-    lazy coefficient-lookup path; the only dense object is the returned
-    2**|subset| matrix.
+    The network may exceed `DENSE_QUBITS`; the subset and the blocks of
+    its components must fit that budget.
     """
     subset = sorted(set(subset))
     if not subset:
         raise ValueError("subset must be nonempty")
     if subset[0] < 1 or subset[-1] > state.n:
         raise ValueError(f"subset {subset} outside 1..{state.n}")
-    rho0 = rho0 or InitialState.standard()
-    tensor = _selection_expectations(state, subset, rho0)
-    dense = _coeff_tensor_to_dense(tensor.astype(np.complex128)) / 2 ** len(subset)
-    return DensityMatrix(len(subset), dense)
+    return _density(state, subset, rho0, DENSE_QUBITS)
 
 
 def local_expectation(

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import random_circuit
 
 import dhsim
-from dhsim.circuit import build_teleportation, parse
+from dhsim.circuit import build_teleportation, parse, serialize
 from dhsim.cli import main
 from dhsim.infoflow import classify_information, contiguity_audit
 
@@ -96,6 +98,17 @@ def test_run_budget_exit_code(capsys, monkeypatch):
     )
     assert code == 3
     assert "budget" in err
+
+
+def test_run_negative_dense_budget_exit_code(capsys, monkeypatch):
+    # A negative budget used to skip the dual-picture check silently.
+    monkeypatch.setenv("DH_DENSE_BUDGET", "-1")
+    code, out, err = run_cli(
+        capsys, "run", "--builtin", "teleport", "--bind", "theta=0.7", "--format", "json"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: DH_DENSE_BUDGET must be a non-negative integer, got '-1'\n"
 
 
 def test_run_unknown_checkpoint_exit_code(capsys):
@@ -212,13 +225,15 @@ def test_audit_qubit_zero_exit_code(capsys):
     assert "qubit 0" in err
 
 
-def run_child(code: str, *args: str, **env_extra: str) -> subprocess.CompletedProcess:
+def run_child(
+    code: str, *args: str, timeout: float = 300, **env_extra: str
+) -> subprocess.CompletedProcess:
     src = str(Path(dhsim.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -256,6 +271,28 @@ runpy.run_module("dhsim.cli", run_name="__main__")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: out of memory")
     assert "Traceback" not in proc.stderr
+
+
+def test_run_subset_over_budget_exits_before_reconstructing(tmp_path):
+    # 11 of 12 qubits: over the budget of DENSE_QUBITS = 10, so the CLI
+    # must stop at once instead of working through 4**11 selections.
+    rng = np.random.default_rng(58)
+    c, _ = random_circuit(rng, n=12, depth=60, symbol_prob=0.0)
+    path = tmp_path / "twelve.dh"
+    path.write_text(serialize(c))
+    proc = run_child(
+        """
+import runpy, sys
+sys.argv = ["dhsim", "run", sys.argv[1], "--subset", "1,2,3,4,5,6,7,8,9,10,11"]
+runpy.run_module("dhsim.cli", run_name="__main__")
+""",
+        str(path),
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
 
 
 def test_demo_superdense_table(capsys):

@@ -4,6 +4,7 @@ The reference for every density is the state-vector simulator; the
 reference for expectations is dense linear algebra on the evolved
 descriptors.
 """
+import ast
 import json
 import os
 import subprocess
@@ -15,14 +16,16 @@ import pytest
 from helpers import random_circuit
 
 import dhsim
+from dhsim import reconstruct
 from dhsim.circuit import bind, build_teleportation, parse, serialize
+from dhsim.config import DENSE_QUBITS
 from dhsim.descriptors import evolve
 from dhsim.errors import BudgetError, GaugeError
 from dhsim.pauli import PauliSum, to_dense
 from dhsim.reconstruct import (
     InitialState,
     _expectation_tensor,
-    _selection_expectations,
+    _image,
     expectation_of_product,
     expectation_table,
     gauge_transform,
@@ -34,6 +37,7 @@ from dhsim.reconstruct import (
 )
 from dhsim.statevector import (
     StateVector,
+    apply_bound_gate,
     density,
     evolve_state,
     partial_trace,
@@ -119,6 +123,22 @@ def test_pure_state_expectation_across_term_blocks():
     assert abs(got - want) < 1e-10
 
 
+def test_image_gathered_over_blocks():
+    # A 2**10-state support takes 64 x planes per block.  The low x planes
+    # keep the support in place, and the highest, sorted last, move it to
+    # a second coset, so the last block adds half of the image.
+    rng = np.random.default_rng(60)
+    n = 12
+    support = np.arange(2**10, dtype=np.uint64)
+    xs = np.concatenate([rng.choice(2**10, size=300, replace=False), [2**11 + 5]])
+    zs = rng.integers(0, 2**n, size=len(xs)).astype(np.uint64)
+    keys = xs.astype(np.uint64) | (zs << np.uint64(n))
+    s = PauliSum(n, keys, np.ones(len(xs)))
+    want = sorted({int(b) ^ int(x) for b in support for x in xs})
+    assert len(want) == 2**11
+    assert _image(support, [s], 1, n).tolist() == want
+
+
 def test_expectation_lazy_path_matches_dense_tree():
     rng = np.random.default_rng(41)
     c, binding = random_circuit(rng, n=4, depth=14)
@@ -182,26 +202,40 @@ def test_global_density_custom_initial_state():
     bc = bind(parse("qubits 2\nH 1\nCNOT 1 2\nS 2\n"))
     got = global_density(evolve(bc), rho0)
     # oracle: evolve the custom vector through the same gates
-    from dhsim.statevector import apply_bound_gate
-
     amps = v.copy()
     for g in bc.gates:
         amps = apply_bound_gate(amps, g, n)
     assert trace_distance(got, np.outer(amps, amps.conj())) < 1e-10
 
 
+def oracle_tensor(psi: np.ndarray, n: int) -> np.ndarray:
+    """<psi| sigma_{m_n} x ... x sigma_{m_1} |psi> with axes (m_n, ..., m_1)."""
+    sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    out = np.zeros([4] * n)
+    for index in np.ndindex(*out.shape):
+        string = np.ones((1, 1))
+        for m in index:  # qubit n first: it is the most significant bit
+            string = np.kron(string, sigma[m])
+        out[index] = np.real(psi.conj() @ string @ psi)
+    return out
+
+
+def all_components(state):
+    identity = PauliSum.identity(state.n)
+    return [[identity, *d.components] for d in state.descriptors]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_expectation_tensor_halves_match_lazy_path(n):
-    # n=1 leaves the lower half empty; odd n splits unevenly.
+    # n=1 leaves the lower half empty; odd n splits unevenly.  The
+    # reference is the evolved state vector.
     rng = np.random.default_rng(50 + n)
     c, binding = random_circuit(rng, n=n, depth=12)
-    state = evolve(bind(c, binding))
-    qubits = list(range(1, n + 1))
-    rho0 = InitialState.standard()
-    dense = _expectation_tensor(state, qubits, rho0.amplitudes(n), None)
-    lazy = _selection_expectations(state, qubits, rho0)
-    assert dense.shape == (4,) * n
-    assert np.max(np.abs(dense - lazy)) < 1e-10
+    bc = bind(c, binding)
+    got = _expectation_tensor(all_components(evolve(bc)), InitialState.standard(), DENSE_QUBITS)
+    want = oracle_tensor(evolve_state(bc).amplitudes, n)
+    assert got.shape == (4,) * n
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_expectation_tensor_halves_match_lazy_path_custom_state():
@@ -211,11 +245,12 @@ def test_expectation_tensor_halves_match_lazy_path_custom_state():
     v /= np.linalg.norm(v)
     rho0 = InitialState.custom(StateVector(n, v))
     c, binding = random_circuit(rng, n=n, depth=12)
-    state = evolve(bind(c, binding))
-    qubits = list(range(1, n + 1))
-    dense = _expectation_tensor(state, qubits, v, None)
-    lazy = _selection_expectations(state, qubits, rho0)
-    assert np.max(np.abs(dense - lazy)) < 1e-10
+    bc = bind(c, binding)
+    got = _expectation_tensor(all_components(evolve(bc)), rho0, DENSE_QUBITS)
+    psi = v.copy()
+    for g in bc.gates:
+        psi = apply_bound_gate(psi, g, n)
+    assert np.max(np.abs(got - oracle_tensor(psi, n))) < 1e-10
 
 
 def test_global_density_budget():
@@ -272,6 +307,71 @@ def test_marginal_consistency_with_global_density():
         via_partial = partial_trace(rho, subset)
         direct = reduced_density(state, subset)
         assert trace_distance(via_partial, direct) < 1e-10
+
+
+def reduced_from_amplitudes(psi: np.ndarray, n: int, subset) -> np.ndarray:
+    """Trace the pure state psi down to `subset`, little-endian in it."""
+    t = psi.reshape([2] * n)  # axis a holds qubit n - a
+    keep = [n - q for q in sorted(subset, reverse=True)]
+    t = np.moveaxis(t, keep, range(len(keep))).reshape(2 ** len(keep), -1)
+    return t @ t.conj().T
+
+
+def test_reduced_density_above_dense_budget_matches_amplitudes():
+    # n=14 is over DENSE_QUBITS, but each subset's blocks stay within it.
+    rng = np.random.default_rng(57)
+    c, binding = random_circuit(rng, n=14, depth=150)
+    bc = bind(c, binding)
+    state = evolve(bc)
+    psi = evolve_state(bc, dense_budget=14).amplitudes
+    for subset in ([1, 2, 3], [2, 5, 9, 13], [3, 4, 5, 6, 7], [1, 4, 7, 10, 13, 14]):
+        got = reduced_density(state, subset).entries
+        want = reduced_from_amplitudes(psi, 14, subset)
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_reduced_density_of_every_qubit_is_global_density():
+    rng = np.random.default_rng(59)
+    c, binding = random_circuit(rng, n=8, depth=60)
+    state = evolve(bind(c, binding))
+    got = reduced_density(state, range(1, 9)).entries
+    assert np.max(np.abs(got - global_density(state).entries)) < 1e-12
+
+
+def test_reduced_density_budget():
+    state = evolve(bind(parse("qubits 12\n")))
+    with pytest.raises(BudgetError):
+        reduced_density(state, range(1, DENSE_QUBITS + 2))
+
+
+def test_reconstruction_budget_counts_block_entries_not_qubits():
+    # An 11-qubit network is over DENSE_QUBITS = 10; what counts is the
+    # basis states the initial state and the components reach.
+    n = 11
+    state = evolve(bind(parse("qubits 11\nH 1\n")))
+    for width, fits in ((2**10, True), (2**10 + 1, False)):
+        amps = np.zeros(2**n)
+        amps[:width] = 1 / np.sqrt(width)
+        rho0 = InitialState.custom(StateVector(n, amps))
+        if fits:
+            # qubit 1's z component is X1, which maps the support onto itself
+            assert expectation_of_product(state, {1: 3}, rho0) == pytest.approx(1.0)
+        else:
+            with pytest.raises(BudgetError):
+                expectation_of_product(state, {1: 3}, rho0)
+
+
+def test_reconstruct_imports_only_types_from_statevector():
+    # The dual-picture check compares reconstruction with the state-vector
+    # oracle; it means nothing if reconstruction borrows the oracle's code.
+    tree = ast.parse(Path(reconstruct.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and "statevector" in (node.module or ""):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any("statevector" in alias.name for alias in node.names)
+    assert imported == {"DensityMatrix", "StateVector"}
 
 
 def test_reduced_density_rejects_bad_subsets():
