@@ -10,8 +10,10 @@ Three subcommands:
 
 Exit codes are stable: 0 success, 1 parse error, 2 binding/input error,
 3 budget exceeded or out of memory, 4 internal invariant violation
-(signals a bug).  The ``DH_DENSE_BUDGET`` environment variable overrides
-the qubit limit of the global density and the dual-picture check.
+(signals a bug).  A reader that closes the output pipe early ends the
+command quietly with exit 0.  The ``DH_DENSE_BUDGET`` environment
+variable overrides the qubit limit of the global density and the
+dual-picture check.
 JSON output is deterministic for a fixed configuration and seed.
 """
 from __future__ import annotations
@@ -448,7 +450,9 @@ def main(argv: Optional[list] = None) -> int:
     if at is not None and at.isdigit():
         args.at = int(at)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -473,6 +477,11 @@ def main(argv: Optional[list] = None) -> int:
     except DhError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BINDING
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at
+        # /dev/null so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

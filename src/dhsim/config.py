@@ -10,7 +10,8 @@ PRUNE_EPS = 1e-14
 
 # Hard cap on the number of stored terms in a single Pauli sum.  The
 # effective cap is min(4**n, TERM_BUDGET); exceeding it raises, never
-# truncates.
+# truncates.  Above 10 qubits it also bounds the running sum of a large
+# product before pruning, so terms that would cancel later still count.
 TERM_BUDGET = 1_000_000
 
 # Largest n for which dense 2**n x 2**n objects may be materialized; no

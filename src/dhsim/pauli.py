@@ -322,13 +322,24 @@ class PauliSum:
         )
 
 
+def _merge(keys: np.ndarray, coeffs: np.ndarray):
+    """Sorted distinct keys, with each key's coefficients added in input order.
+
+    The sums start from 0.0, which clears signed zeros.  `np.unique` is
+    called with an index output: without one it imports `numpy.ma`,
+    40-60 ms for every CLI process.
+    """
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    merged = np.zeros(len(uniq), dtype=np.complex128)
+    np.add.at(merged, inverse, coeffs)
+    return uniq, merged
+
+
 def _canonical(n: int, keys: np.ndarray, coeffs: np.ndarray):
     """Sort, merge duplicate keys, prune tiny coefficients, check budget."""
     if len(keys) == 0:
         return keys, coeffs
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(merged, inverse, coeffs)
+    uniq, merged = _merge(keys, coeffs)
     keep = np.abs(merged) > PRUNE_EPS
     uniq, merged = uniq[keep], merged[keep]
     budget = min(4**n, TERM_BUDGET)
@@ -364,15 +375,22 @@ def sum_scale(a: PauliSum, scalar: complex) -> PauliSum:
     return sum_combine([(scalar, a)])
 
 
-def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Distribute string multiplication over all term pairs."""
-    _require_same_n(a, b)
-    if a.num_terms == 0 or b.num_terms == 0:
-        return PauliSum.zero(a.n)
-    n = a.n
+# Products of more pairs than this are built in row blocks of `a`.
+_BLOCK_PAIRS = 1 << 16
+
+# Up to this many possible strings (n <= 10), blocks are summed in one
+# array indexed by key; above it, they are merged by sorting.
+_DENSE_KEYS = 1 << 20
+
+
+def _pair_grid(n: int, a: PauliSum, b: PauliSum, rows: slice):
+    """Keys and coefficients of the products of ``a``'s `rows` with all of `b`.
+
+    Pairs come in row-major order, one row per term of ``a[rows]``.
+    """
     mask = np.uint64((1 << n) - 1)
     shift = np.uint64(n)
-    ka = a._keys[:, None]
+    ka = a._keys[rows, None]
     kb = b._keys[None, :]
     xa, za = ka & mask, ka >> shift
     xb, zb = kb & mask, kb >> shift
@@ -382,8 +400,51 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     cross = _popcount(za & xb)
     s_out = _popcount(keys & mask & (keys >> shift))
     exponent = (s_a + s_b + 2 * cross - s_out) % 4
-    coeffs = a._coeffs[:, None] * b._coeffs[None, :] * _POWERS_OF_I[exponent]
-    return PauliSum(n, keys.ravel(), coeffs.ravel())
+    coeffs = a._coeffs[rows, None] * b._coeffs[None, :] * _POWERS_OF_I[exponent]
+    return keys.ravel(), coeffs.ravel()
+
+
+def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Distribute string multiplication over all term pairs.
+
+    A product of more than `_BLOCK_PAIRS` pairs is built in row blocks,
+    so memory is bounded by a block and the result, not by |a| x |b|.
+    Every string's pairs are added in row-major order starting from 0,
+    as `_canonical` adds the whole grid, so the result is the same to
+    the bit.  Above 10 qubits the running sum of the blocks is checked
+    against the term budget before it is pruned: terms that would cancel
+    later still count.
+    """
+    _require_same_n(a, b)
+    if a.num_terms == 0 or b.num_terms == 0:
+        return PauliSum.zero(a.n)
+    n = a.n
+    rows = max(1, _BLOCK_PAIRS // b.num_terms)
+    if a.num_terms <= rows:
+        return PauliSum(n, *_pair_grid(n, a, b, slice(None)))
+    if 4**n <= _DENSE_KEYS:
+        total = np.zeros(4**n, dtype=np.complex128)
+        for start in range(0, a.num_terms, rows):
+            np.add.at(total, *_pair_grid(n, a, b, slice(start, start + rows)))
+        keys = np.flatnonzero(total)
+        return PauliSum(n, keys, total[keys])
+    budget = min(4**n, TERM_BUDGET)
+    keys = np.empty(0, dtype=np.uint64)
+    coeffs = np.empty(0, dtype=np.complex128)
+    start = 0
+    while start < a.num_terms:
+        # A block at least as large as the running sum amortises its re-sort.
+        stop = start + max(rows, len(keys) // b.num_terms)
+        block_keys, block_coeffs = _pair_grid(n, a, b, slice(start, stop))
+        keys, coeffs = _merge(
+            np.concatenate([keys, block_keys]), np.concatenate([coeffs, block_coeffs])
+        )
+        if len(keys) > budget:
+            raise BudgetError(
+                f"{len(keys)} intermediate terms exceed the budget of {budget} (n={n})"
+            )
+        start = stop
+    return PauliSum(n, keys, coeffs)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

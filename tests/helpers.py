@@ -1,7 +1,14 @@
-"""Shared test utilities: an independent unitary-embedding oracle and a
-deterministic random-circuit generator for cross-validation corpora."""
+"""Shared test utilities: an independent unitary-embedding oracle, a
+deterministic random-circuit generator for cross-validation corpora, and
+a runner for code in a child process under an address-space cap."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import dhsim
 from dhsim.circuit import Circuit, Gate, ParamRef
 
 CORPUS_GATESET = ("H", "S", "X", "Y", "Z", "CNOT", "CZ", "RY", "RZ", "PHASE")
@@ -77,3 +84,34 @@ def random_circuit(
             else:
                 gates.append(Gate(kind, (q,), param=float(rng.uniform(0.0, 2.0 * np.pi))))
     return Circuit(n, tuple(gates), tuple(params)), binding
+
+
+# The cap is set inside the child, so it limits only the child process.
+_CAPPED_PRELUDE = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = {cap} if hard == resource.RLIM_INFINITY else min({cap}, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+"""
+
+
+def run_capped(
+    code: str, *args: str, cap: int = 3 * 2**30
+) -> subprocess.CompletedProcess:
+    """Run `code` with `args` in a child under a `cap`-byte address space.
+
+    The default of 3 GiB is the benchmark's cap.
+    """
+    src = str(Path(dhsim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # One BLAS thread, so per-thread buffers on a many-core host do not
+    # count against the cap; the cap then measures dhsim's own arrays.
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_PRELUDE.format(cap=cap) + code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )

@@ -225,15 +225,19 @@ def test_audit_qubit_zero_exit_code(capsys):
     assert "qubit 0" in err
 
 
-def run_child(
-    code: str, *args: str, timeout: float = 300, **env_extra: str
-) -> subprocess.CompletedProcess:
+def child_env(**env_extra: str) -> dict:
     src = str(Path(dhsim.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(
+    code: str, *args: str, timeout: float = 300, **env_extra: str
+) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, "-c", code, *args], env=child_env(**env_extra),
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -293,6 +297,28 @@ runpy.run_module("dhsim.cli", run_name="__main__")
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+
+def test_closed_output_pipe_exits_quietly(tmp_path):
+    # Six qubits of a 12-qubit network print about 200 KB of JSON, more
+    # than a pipe holds, so the CLI is still writing when `head -c 10`
+    # closes its end.
+    rng = np.random.default_rng(58)
+    c, _ = random_circuit(rng, n=12, depth=60, symbol_prob=0.0)
+    path = tmp_path / "twelve.dh"
+    path.write_text(serialize(c))
+    argv = ["run", str(path), "--subset", "1,2,3,4,5,6", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "dhsim.cli", *argv], env=child_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert head == b'{\n  "backe'
+    assert code == 0, err
+    assert err == b""
 
 
 def test_demo_superdense_table(capsys):

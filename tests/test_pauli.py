@@ -8,9 +8,11 @@ import functools
 
 import numpy as np
 import pytest
+from helpers import run_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhsim import pauli
 from dhsim.errors import BudgetError, SizeMismatchError
 from dhsim.pauli import (
     LETTERS,
@@ -183,6 +185,91 @@ def test_term_budget_enforced(monkeypatch):
     labels = random_labels(rng, 3, 12)
     with pytest.raises(BudgetError):
         PauliSum.from_terms(3, {l: 1.0 for l in set(labels)})
+
+
+# -- products built in row blocks ---------------------------------------------
+
+
+def random_sum(rng, n, terms, planes=None, real=False):
+    """`terms` distinct strings whose X and Z planes use only `planes` qubits."""
+    planes = n if planes is None else planes
+    index = rng.choice(4**planes, terms, replace=False).astype(np.uint64)
+    keys = (index & np.uint64(2**planes - 1)) | (index >> np.uint64(planes) << np.uint64(n))
+    coeffs = rng.normal(size=terms) + (0 if real else 1j * rng.normal(size=terms))
+    return PauliSum(n, keys, coeffs)
+
+
+def unblocked_product(a, b):
+    """The whole pair grid at once, merged by the PauliSum constructor."""
+    n = a.n
+    mask, shift = np.uint64(2**n - 1), np.uint64(n)
+    ka, kb = a.keys()[:, None], b.keys()[None, :]
+    keys = ka ^ kb
+
+    def y_count(k):
+        return np.bitwise_count(k & mask & (k >> shift)).astype(np.int64)
+
+    cross = np.bitwise_count((ka >> shift) & kb & mask).astype(np.int64)
+    exponent = (y_count(ka) + y_count(kb) + 2 * cross - y_count(keys)) % 4
+    coeffs = a.coeffs()[:, None] * b.coeffs()[None, :] * np.array([1, 1j, -1, -1j])[exponent]
+    return PauliSum(n, keys.ravel(), coeffs.ravel())
+
+
+@pytest.mark.parametrize(
+    "n, planes, block",
+    [
+        (8, 8, None),  # key-indexed accumulation
+        (11, 11, None),  # merged by sorting
+        (11, 7, None),  # sorting, with many pairs per string
+        (8, 8, 2**10),  # many blocks
+        (11, 11, 2**10),  # blocks growing with the running sum
+    ],
+)
+def test_sum_mul_blocks_match_unblocked_grid(monkeypatch, n, planes, block):
+    if block is not None:
+        monkeypatch.setattr(pauli, "_BLOCK_PAIRS", block)
+    rng = np.random.default_rng([60, n, planes])
+    # Just above one block: 256 rows of 256 terms fit, the 257th does not.
+    a, b = random_sum(rng, n, 257, planes), random_sum(rng, n, 256, planes)
+    assert a.num_terms * b.num_terms > pauli._BLOCK_PAIRS
+    got, want = sum_mul(a, b), unblocked_product(a, b)
+    assert np.array_equal(got.keys(), want.keys())
+    assert np.array_equal(got.coeffs(), want.coeffs())
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_sum_mul_blocked_square_matches_unblocked_grid(n):
+    # Anticommuting pairs of a Hermitian sum cancel in its square.
+    a = random_sum(np.random.default_rng([61, n]), n, 300, real=True)
+    got, want = sum_mul(a, a), unblocked_product(a, a)
+    assert np.array_equal(got.keys(), want.keys())
+    assert np.array_equal(got.coeffs(), want.coeffs())
+    assert got.is_hermitian()
+
+
+def test_sum_mul_large_product_under_small_address_space():
+    # 4096 x 4096 pairs: the whole grid would take about 1.4 GiB.
+    proc = run_capped(
+        """
+import numpy as np
+from dhsim.pauli import PauliSum, sum_mul
+rng = np.random.default_rng(62)
+a, b = (PauliSum(8, rng.choice(4**8, 4096, replace=False), rng.normal(size=4096))
+        for _ in range(2))
+print(sum_mul(a, b).num_terms)
+""",
+        cap=2**30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) <= 4**8
+
+
+def test_sum_mul_budget_counts_intermediate_terms():
+    # 1100 x 1100 pairs at n=12 reach more than TERM_BUDGET distinct strings.
+    rng = np.random.default_rng(63)
+    a, b = random_sum(rng, 12, 1100), random_sum(rng, 12, 1100)
+    with pytest.raises(BudgetError, match="intermediate terms"):
+        sum_mul(a, b)
 
 
 def test_prune_drops_tiny_coefficients():

@@ -6,16 +6,12 @@ descriptors.
 """
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_circuit
+from helpers import random_circuit, run_capped
 
-import dhsim
 from dhsim import reconstruct
 from dhsim.circuit import bind, build_teleportation, parse, serialize
 from dhsim.config import DENSE_QUBITS
@@ -139,14 +135,14 @@ def test_image_gathered_over_blocks():
     assert _image(support, [s], 1, n).tolist() == want
 
 
-def test_expectation_lazy_path_matches_dense_tree():
+def test_expectation_of_product_matches_state_vector_and_density():
     rng = np.random.default_rng(41)
     c, binding = random_circuit(rng, n=4, depth=14)
     state = evolve(bind(c, binding))
     rho = global_density(state)
     for _ in range(8):
         sel = {q: int(rng.integers(0, 4)) for q in range(1, 5)}
-        lazy = expectation_of_product(state, sel)
+        got = expectation_of_product(state, sel)
         # the same number read from the materialized density via the
         # equivalent unevolved string expectation Tr(rho(t) P)
         letters = [sel.get(q, 0) for q in range(1, 5)]
@@ -155,7 +151,7 @@ def test_expectation_lazy_path_matches_dense_tree():
         bare = to_dense(PauliSum.from_string(PauliString.from_letters(letters)))
         psi = evolve_state(bind(c, binding)).amplitudes
         want = float(np.real(psi.conj() @ bare @ psi))
-        assert lazy == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(want, abs=1e-10)
         assert np.real(np.trace(rho.entries @ bare)) == pytest.approx(want, abs=1e-10)
 
 
@@ -226,7 +222,7 @@ def all_components(state):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_expectation_tensor_halves_match_lazy_path(n):
+def test_expectation_tensor_halves_match_state_vector(n):
     # n=1 leaves the lower half empty; odd n splits unevenly.  The
     # reference is the evolved state vector.
     rng = np.random.default_rng(50 + n)
@@ -238,7 +234,7 @@ def test_expectation_tensor_halves_match_lazy_path(n):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_expectation_tensor_halves_match_lazy_path_custom_state():
+def test_expectation_tensor_halves_match_state_vector_custom_state():
     rng = np.random.default_rng(55)
     n = 3
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -485,31 +481,6 @@ def test_history_distinction_equal_marginals_different_descriptors():
 
 
 # -- ten qubits under an address-space cap ------------------------------------------
-
-# The benchmark's cap.  It is set inside the child, so it limits only
-# the child process.
-_CAPPED_PRELUDE = """
-import resource
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
-resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-"""
-
-
-def run_capped(code: str, *args: str) -> subprocess.CompletedProcess:
-    src = str(Path(dhsim.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # One BLAS thread, so per-thread buffers on a many-core host do not
-    # count against the cap; the cap then measures dhsim's own arrays.
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run(
-        [sys.executable, "-c", _CAPPED_PRELUDE + code, *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
 
 
 @pytest.fixture(scope="module")
