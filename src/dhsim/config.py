@@ -10,8 +10,10 @@ PRUNE_EPS = 1e-14
 
 # Hard cap on the number of stored terms in a single Pauli sum.  The
 # effective cap is min(4**n, TERM_BUDGET); exceeding it raises, never
-# truncates.  Above 10 qubits it also bounds the running sum of a large
-# product before pruning, so terms that would cancel later still count.
+# truncates.  It also bounds the running sum of a large product, which
+# drops exact cancellations but is not pruned, so terms that would cancel
+# later still count.  At the default, only from n=10 up, where 4**n
+# exceeds TERM_BUDGET, can that sum exceed the cap.
 TERM_BUDGET = 1_000_000
 
 # Largest n for which dense 2**n x 2**n objects may be materialized; no

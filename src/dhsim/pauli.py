@@ -378,10 +378,6 @@ def sum_scale(a: PauliSum, scalar: complex) -> PauliSum:
 # Products of more pairs than this are built in row blocks of `a`.
 _BLOCK_PAIRS = 1 << 16
 
-# Up to this many possible strings (n <= 10), blocks are summed in one
-# array indexed by key; above it, they are merged by sorting.
-_DENSE_KEYS = 1 << 20
-
 
 def _pair_grid(n: int, a: PauliSum, b: PauliSum, rows: slice):
     """Keys and coefficients of the products of ``a``'s `rows` with all of `b`.
@@ -408,12 +404,12 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     """Distribute string multiplication over all term pairs.
 
     A product of more than `_BLOCK_PAIRS` pairs is built in row blocks,
-    so memory is bounded by a block and the result, not by |a| x |b|.
-    Every string's pairs are added in row-major order starting from 0,
-    as `_canonical` adds the whole grid, so the result is the same to
-    the bit.  Above 10 qubits the running sum of the blocks is checked
-    against the term budget before it is pruned: terms that would cancel
-    later still count.
+    each merged into a running sum, so memory is bounded by a block and
+    the result, not by |a| x |b|.  Every string's pairs are added in
+    row-major order starting from 0, as `_canonical` adds the whole
+    grid, so the result is the same to the bit.  The running sum drops
+    exact zeros but is otherwise unpruned, and is checked against the
+    term budget: terms that would cancel later still count.
     """
     _require_same_n(a, b)
     if a.num_terms == 0 or b.num_terms == 0:
@@ -422,12 +418,6 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     rows = max(1, _BLOCK_PAIRS // b.num_terms)
     if a.num_terms <= rows:
         return PauliSum(n, *_pair_grid(n, a, b, slice(None)))
-    if 4**n <= _DENSE_KEYS:
-        total = np.zeros(4**n, dtype=np.complex128)
-        for start in range(0, a.num_terms, rows):
-            np.add.at(total, *_pair_grid(n, a, b, slice(start, start + rows)))
-        keys = np.flatnonzero(total)
-        return PauliSum(n, keys, total[keys])
     budget = min(4**n, TERM_BUDGET)
     keys = np.empty(0, dtype=np.uint64)
     coeffs = np.empty(0, dtype=np.complex128)
@@ -439,6 +429,10 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
         keys, coeffs = _merge(
             np.concatenate([keys, block_keys]), np.concatenate([coeffs, block_coeffs])
         )
+        # An exactly cancelled string would add its later pairs to 0.0
+        # again, so dropping it changes no bit and keeps it out of the budget.
+        nonzero = coeffs != 0
+        keys, coeffs = keys[nonzero], coeffs[nonzero]
         if len(keys) > budget:
             raise BudgetError(
                 f"{len(keys)} intermediate terms exceed the budget of {budget} (n={n})"

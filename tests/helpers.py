@@ -95,6 +95,19 @@ resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 """
 
 
+def child_env(**env_extra: str) -> dict:
+    """The environment of a child process that imports this checkout's dhsim.
+
+    One BLAS thread, so per-thread buffers on a many-core host do not
+    count against an address-space cap; the cap then measures dhsim's
+    own arrays.
+    """
+    src = str(Path(dhsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_capped(
     code: str, *args: str, cap: int = 3 * 2**30
 ) -> subprocess.CompletedProcess:
@@ -102,15 +115,9 @@ def run_capped(
 
     The default of 3 GiB is the benchmark's cap.
     """
-    src = str(Path(dhsim.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # One BLAS thread, so per-thread buffers on a many-core host do not
-    # count against the cap; the cap then measures dhsim's own arrays.
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-c", _CAPPED_PRELUDE.format(cap=cap) + code, *args],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=600,

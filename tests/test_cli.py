@@ -1,15 +1,12 @@
 """Tests for the command-line interface: outputs, exit codes, determinism."""
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import random_circuit
+from helpers import child_env, random_circuit
 
-import dhsim
 from dhsim.circuit import build_teleportation, parse, serialize
 from dhsim.cli import main
 from dhsim.infoflow import classify_information, contiguity_audit
@@ -223,13 +220,6 @@ def test_audit_qubit_zero_exit_code(capsys):
     )
     assert code == 2
     assert "qubit 0" in err
-
-
-def child_env(**env_extra: str) -> dict:
-    src = str(Path(dhsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **env_extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_child(

@@ -218,9 +218,9 @@ def unblocked_product(a, b):
 @pytest.mark.parametrize(
     "n, planes, block",
     [
-        (8, 8, None),  # key-indexed accumulation
-        (11, 11, None),  # merged by sorting
-        (11, 7, None),  # sorting, with many pairs per string
+        (8, 8, None),  # most strings hit by several pairs
+        (11, 11, None),  # few strings hit twice
+        (11, 7, None),  # strings on 7 of 11 qubits: many pairs per string
         (8, 8, 2**10),  # many blocks
         (11, 11, 2**10),  # blocks growing with the running sum
     ],
@@ -245,6 +245,19 @@ def test_sum_mul_blocked_square_matches_unblocked_grid(n):
     assert np.array_equal(got.keys(), want.keys())
     assert np.array_equal(got.coeffs(), want.coeffs())
     assert got.is_hermitian()
+
+
+def test_sum_mul_budget_skips_cancelled_terms(monkeypatch):
+    # The square of a real sum of 300 strings at n=11 reaches about 45,000
+    # distinct strings, but the anticommuting half cancels exactly, and
+    # the running sum never holds more than about 30,000 nonzero terms.
+    monkeypatch.setattr(pauli, "TERM_BUDGET", 40_000)
+    a = random_sum(np.random.default_rng([64, 11]), 11, 300, real=True)
+    ka = a.keys()
+    assert len(np.unique(ka[:, None] ^ ka[None, :])) > pauli.TERM_BUDGET
+    got, want = sum_mul(a, a), unblocked_product(a, a)
+    assert np.array_equal(got.keys(), want.keys())
+    assert np.array_equal(got.coeffs(), want.coeffs())
 
 
 def test_sum_mul_large_product_under_small_address_space():
