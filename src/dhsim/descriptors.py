@@ -43,6 +43,8 @@ from .pauli import (
     SIGMA,
     PauliString,
     PauliSum,
+    _keys,
+    _letters,
     commutator,
     decompose,
     sum_combine,
@@ -273,26 +275,24 @@ def conjugate_sum(s: PauliSum, matrix: np.ndarray, qubits: Sequence[int]) -> Pau
     """Return V^dag s V for a unitary V acting on the given qubits.
 
     Rewrites the support letters of every term through the gate's
-    table; terms that are identity on the support pass through.
+    table; terms that are identity on the support map to themselves.
     """
     support = tuple(qubits)
-    table = _cached_table(matrix, support)
-    keys, coeffs = [], []
-    for label, coeff in s.terms().items():
-        string = PauliString.from_label(label)
-        local = tuple(string.letter(q) for q in support)
-        if all(m == 0 for m in local):
-            keys.append(string.key)
-            coeffs.append(coeff)
-            continue
-        base_letters = list(string.letters)
-        for weight, out_letters in table.image(local):
-            letters = base_letters.copy()
-            for q, m in zip(support, out_letters):
-                letters[q - 1] = m
-            keys.append(PauliString.from_letters(letters).key)
-            coeffs.append(weight * coeff)
-    return PauliSum(s.n, keys, coeffs)
+    if len(set(support)) != len(support) or not all(1 <= q <= s.n for q in support):
+        raise ValueError(f"gate qubits {support} are not distinct qubits of 1..{s.n}")
+    identity = (0,) * len(support)
+    images = {identity: ((1.0, identity),), **_cached_table(matrix, support).entries}
+    if s.num_terms == 0:
+        return s
+    cols = np.array(support) - 1
+    letters = _letters(s.n, s.keys())
+    per_term = [images[tuple(local)] for local in letters[:, cols].tolist()]
+    counts = [len(image) for image in per_term]
+    terms = [term for image in per_term for term in image]
+    rows = np.repeat(letters, counts, axis=0)
+    rows[:, cols] = [out for _, out in terms]
+    weights = np.array([w for w, _ in terms])
+    return PauliSum(s.n, _keys(s.n, rows), weights * np.repeat(s.coeffs(), counts))
 
 
 def evolve_observable(

@@ -4,14 +4,20 @@ Operators are stored as weighted sums of *unnormalized* Pauli strings
 ``sigma_{m_1} (x) ... (x) sigma_{m_n}`` with letters indexed 0..3 for
 I, X, Y, Z.  The orthonormal operator basis used for reconstruction
 carries one ``1/sqrt(2)`` per qubit; coefficients here are always
-against the unnormalized strings, and the conversion appears exactly
-twice: `decompose` divides traces by ``2**n`` and `hs_inner` multiplies
-coefficient contractions by ``2**n``.
+against the unnormalized strings.  The conversion appears in four
+places: `decompose` divides traces by ``2**n``, `hs_inner` multiplies
+coefficient contractions by ``2**n``, `descriptors.gamma_product`
+scales by ``2**(-n/2)``, and `reconstruct` divides a k-qubit density's
+coefficient tensor by ``2**k``.
 
 A string is encoded as a single integer with two bit planes:
 
     bits 0 .. n-1       X plane (bit k-1 set iff qubit k carries X or Y)
     bits n .. 2n-1      Z plane (bit k-1+n set iff qubit k carries Y or Z)
+
+so qubit k's letter is ``m = 2z + (x^z)``: I=0, X=1, Y=2, Z=3.  Array
+code converts between keys and letters only through `_letters` and
+`_keys`.
 
 Qubits are numbered 1..n and qubit 1 is the first character of a label
 such as ``"XIZ"``.  The sign bookkeeping uses the identity
@@ -468,18 +474,16 @@ def _check_dense_budget(n: int, dense_budget):
         raise BudgetError(f"dense form of {n} qubits exceeds the budget of {limit}")
 
 
-def _string_action(n: int, keys: np.ndarray, basis: np.ndarray | None = None):
-    """How strings act on basis states, in blocks of terms.
+def _string_action(n: int, keys: np.ndarray, basis: np.ndarray):
+    """How strings act on a set of basis states, in blocks of terms.
 
     A string with planes (x, z) maps |b> to i**|x&z| (-1)**|z&b| |b^x>.
-    `basis` holds the states b acted on, as uint64 (default: all 2**n in
-    order).  Yields ``(block, rows, factors)``: for term t of
-    ``keys[block]`` and state ``basis[j]``, ``rows[t, j]`` is b^x_t and
-    ``factors[t, j]`` that phase and sign.  A block holds about 2**16
-    entries (1 MiB of complex factors).
+    `basis` holds the states b acted on, as uint64.  Yields
+    ``(block, rows, factors)``: for term t of ``keys[block]`` and state
+    ``basis[j]``, ``rows[t, j]`` is b^x_t and ``factors[t, j]`` that
+    phase and sign.  A block holds about 2**16 entries (1 MiB of
+    complex factors).
     """
-    if basis is None:
-        basis = np.arange(1 << n, dtype=np.uint64)
     mask = np.uint64((1 << n) - 1)
     size = max(1, (1 << 16) // len(basis))
     for start in range(0, len(keys), size):
@@ -491,17 +495,19 @@ def _string_action(n: int, keys: np.ndarray, basis: np.ndarray | None = None):
         yield block, basis ^ x, factors
 
 
-def _tensor_index(n: int, keys: np.ndarray) -> np.ndarray:
-    """Flat index of each string in the [4]*n coefficient tensor (axes m_n..m_1).
+def _letters(n: int, keys: np.ndarray) -> np.ndarray:
+    """Letters of each string as a (terms, n) array; column k-1 is qubit k."""
+    shifts = np.arange(n, dtype=np.uint64)
+    x = (keys[:, None] >> shifts) & np.uint64(1)
+    z = (keys[:, None] >> (shifts + np.uint64(n))) & np.uint64(1)
+    return ((z << np.uint64(1)) | (x ^ z)).astype(np.int64)
 
-    Per qubit the letter is m = 2z + (x^z): I=0, X=1, Y=2, Z=3.
-    """
-    x = (keys & np.uint64((1 << n) - 1)).astype(np.int64)
-    z = (keys >> np.uint64(n)).astype(np.int64)
-    idx = np.zeros(len(keys), dtype=np.int64)
-    for k in range(n):
-        idx |= (((x ^ z) >> k & 1) | (z >> k & 1) << 1) << (2 * k)
-    return idx
+
+def _keys(n: int, letters: np.ndarray) -> np.ndarray:
+    """String keys of a (terms, n) letter array; inverse of `_letters`."""
+    z = letters >> 1
+    bits = 1 << np.arange(n)
+    return ((((letters ^ z) & 1) @ bits) | ((z @ bits) << n)).astype(np.uint64)
 
 
 def _coeff_tensor_to_dense(tensor: np.ndarray) -> np.ndarray:
@@ -518,20 +524,15 @@ def _coeff_tensor_to_dense(tensor: np.ndarray) -> np.ndarray:
 
 
 def to_dense(s: PauliSum, *, dense_budget: int | None = None) -> np.ndarray:
-    """Dense matrix of a sum; qubit 1 is the least significant bit."""
+    """Dense matrix of a sum; qubit 1 is the least significant bit.
+
+    The coefficients fill the [4]*n tensor (axes m_n..m_1), whose
+    contraction costs about n 4**n whatever the number of terms.
+    """
     _check_dense_budget(s.n, dense_budget)
-    dim = 2**s.n
-    if s.num_terms > dim:
-        # The scatter costs terms x 2**n; contracting the coefficient
-        # tensor costs about n 4**n whatever the number of terms.
-        flat = np.zeros(4**s.n, dtype=np.complex128)
-        flat[_tensor_index(s.n, s._keys)] = s._coeffs
-        return _coeff_tensor_to_dense(flat.reshape([4] * s.n))
-    out = np.zeros(dim * dim, dtype=np.complex128)
-    cols = np.arange(dim)
-    for block, rows, factors in _string_action(s.n, s._keys):
-        np.add.at(out, rows.astype(np.intp) * dim + cols, s._coeffs[block, None] * factors)
-    return out.reshape(dim, dim)
+    flat = np.zeros(4**s.n, dtype=np.complex128)
+    flat[_letters(s.n, s._keys) @ 4 ** np.arange(s.n)] = s._coeffs
+    return _coeff_tensor_to_dense(flat.reshape([4] * s.n))
 
 
 def decompose(m: np.ndarray, *, dense_budget: int | None = None) -> PauliSum:
@@ -552,14 +553,8 @@ def decompose(m: np.ndarray, *, dense_budget: int | None = None) -> PauliSum:
         out = np.tensordot(out, SIGMA, axes=([0, remaining], [2, 1]))
     coeff = out.reshape(-1) / dim  # axes m_n..m_1, row-major
     flat_idx = np.nonzero(np.abs(coeff) > PRUNE_EPS)[0]
-    keys = np.zeros(len(flat_idx), dtype=np.uint64)
-    for k in range(n):
-        m_k = (flat_idx >> (2 * k)) & 3  # axis m_1 is least significant
-        xb = ((m_k == 1) | (m_k == 2)).astype(np.uint64)
-        zb = ((m_k == 2) | (m_k == 3)).astype(np.uint64)
-        keys |= xb << np.uint64(k)
-        keys |= zb << np.uint64(n + k)
-    return PauliSum(n, keys, coeff[flat_idx])
+    letters = (flat_idx[:, None] >> 2 * np.arange(n)) & 3  # m_1 least significant
+    return PauliSum(n, _keys(n, letters), coeff[flat_idx])
 
 
 def permute_qubits(s: PauliSum, mapping: Mapping[int, int]) -> PauliSum:
@@ -569,16 +564,9 @@ def permute_qubits(s: PauliSum, mapping: Mapping[int, int]) -> PauliSum:
     omitted).
     """
     n = s.n
-    full = {q: mapping.get(q, q) for q in range(1, n + 1)}
-    if sorted(full.values()) != list(range(1, n + 1)):
+    full = [mapping.get(q, q) for q in range(1, n + 1)]
+    if set(mapping) - set(range(1, n + 1)) or sorted(full) != list(range(1, n + 1)):
         raise ValueError("mapping is not a permutation of 1..n")
-    new_keys = np.zeros_like(s._keys)
-    for q, target in full.items():
-        src_x = np.uint64(q - 1)
-        src_z = np.uint64(n + q - 1)
-        dst_x = np.uint64(target - 1)
-        dst_z = np.uint64(n + target - 1)
-        one = np.uint64(1)
-        new_keys |= ((s._keys >> src_x) & one) << dst_x
-        new_keys |= ((s._keys >> src_z) & one) << dst_z
-    return PauliSum(n, new_keys, s._coeffs.copy())
+    letters = np.empty((s.num_terms, n), dtype=np.int64)
+    letters[:, np.array(full) - 1] = _letters(n, s._keys)
+    return PauliSum(n, _keys(n, letters), s._coeffs.copy())

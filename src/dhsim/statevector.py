@@ -2,7 +2,7 @@
 
 This is the reference side of every cross-check: it shares no
 conjugation or rewrite logic with the descriptor engine.  Gates are
-applied directly to amplitude arrays through index kernels.
+applied directly to amplitude arrays by one tensor contraction.
 
 Basis ordering, stated once and used everywhere (including partial
 traces and measurement tables): qubit 1 is the least significant bit of
@@ -79,35 +79,16 @@ class DensityMatrix:
         ]
 
 
-def _apply_1q(amps: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    mask = 1 << (qubit - 1)
-    idx = np.arange(2**n)
-    i0 = idx[(idx & mask) == 0]
-    i1 = i0 + mask
-    out = np.empty_like(amps)
-    a0, a1 = amps[i0], amps[i1]
-    out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    out[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return out
-
-
-def _apply_2q(amps: np.ndarray, u: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
-    # Local index convention: the first listed qubit is the high bit.
-    ma, mb = 1 << (qa - 1), 1 << (qb - 1)
-    idx = np.arange(2**n)
-    base = idx[(idx & (ma | mb)) == 0]
-    groups = [base, base + mb, base + ma, base + ma + mb]
-    out = np.empty_like(amps)
-    cols = [amps[g] for g in groups]
-    for row in range(4):
-        out[groups[row]] = sum(u[row, col] * cols[col] for col in range(4))
-    return out
-
-
 def apply_bound_gate(amps: np.ndarray, gate: BoundGate, n: int) -> np.ndarray:
-    if len(gate.qubits) == 1:
-        return _apply_1q(amps, gate.matrix, gate.qubits[0], n)
-    return _apply_2q(amps, gate.matrix, gate.qubits[0], gate.qubits[1], n)
+    """Apply a gate of any arity; the first listed qubit is its high local bit.
+
+    The amplitudes as a [2]*n tensor hold qubit q on axis n - q.
+    """
+    k = len(gate.qubits)
+    axes = [n - q for q in gate.qubits]
+    u = gate.matrix.reshape([2] * (2 * k))
+    out = np.tensordot(u, amps.reshape([2] * n), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(-1)
 
 
 def evolve_state(

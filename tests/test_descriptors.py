@@ -406,14 +406,29 @@ def test_fold_unitary_matches_naive_product():
 
 
 def test_conjugate_sum_matches_dense():
+    # IYI passes through the gate on (3, 1), and XIZ through the one on
+    # qubit 2, keeping its coefficient to the bit.  The other images
+    # overlap, so most output keys add several terms.
     rng = np.random.default_rng(19)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(raw)
-    s = PauliSum.from_terms(3, {"XYI": 0.3, "IIZ": -1.2, "ZXY": 0.5})
-    got = to_dense(conjugate_sum(s, u, (3, 1)))
-    full = embed(u, (3, 1), 3)
-    want = full.conj().T @ to_dense(s) @ full
-    assert np.max(np.abs(got - want)) < 1e-12
+    s = PauliSum.from_terms(
+        3, {"XYI": 0.3, "IIZ": -1.2, "ZXY": 0.5, "IYI": 0.7, "XIZ": -0.4 + 0.1j}
+    )
+    for v, qubits in ((u, (3, 1)), (random_haar(rng, 2), (2,))):
+        conjugated = conjugate_sum(s, v, qubits)
+        full = embed(v, qubits, 3)
+        want = full.conj().T @ to_dense(s) @ full
+        assert np.max(np.abs(to_dense(conjugated) - want)) < 1e-12
+    assert conjugated.coeff("XIZ") == -0.4 + 0.1j
+
+
+@pytest.mark.parametrize("qubits", [(4,), (0,), (2, 2)])
+def test_conjugate_sum_rejects_gate_qubits_outside_network(qubits):
+    s = PauliSum.from_terms(3, {"XIZ": 1.0})
+    u = np.eye(2 ** len(qubits))
+    with pytest.raises(ValueError, match="gate qubits"):
+        conjugate_sum(s, u, qubits)
 
 
 def test_network_state_json_shape():

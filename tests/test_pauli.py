@@ -132,6 +132,24 @@ def test_mul_strings_associative_and_matches_dense(a, b, c):
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_letters_and_keys_round_trip_every_string(n):
+    keys = np.arange(4**n, dtype=np.uint64)
+    letters = pauli._letters(n, keys)
+    assert letters.tolist() == [list(PauliString(n, k).letters) for k in range(4**n)]
+    assert np.array_equal(pauli._keys(n, letters), keys)
+
+
+def test_letters_and_keys_round_trip_top_bits():
+    # 31 qubits fill 62 of the 64 key bits; Y and Z on qubit 31 set bit 61.
+    rng = np.random.default_rng(8)
+    letters = [*rng.integers(0, 4, size=29), 2, 3]
+    key = PauliString.from_letters(letters).key
+    assert key >> 61 == 1
+    assert pauli._letters(31, np.array([key], dtype=np.uint64)).tolist() == [letters]
+    assert pauli._keys(31, np.array([letters])).tolist() == [key]
+
+
 def test_mul_strings_size_mismatch():
     with pytest.raises(SizeMismatchError):
         mul_strings(PauliString.from_label("X"), PauliString.from_label("XX"))
@@ -324,9 +342,7 @@ def test_dense_round_trips_random_hermitian():
         assert (again - s).coeff_norm() < 1e-12
 
 
-def test_to_dense_tensor_path_matches_kron_path():
-    # More than 2**n terms take the coefficient-tensor path; check it
-    # against the per-term kron oracle.
+def test_to_dense_many_terms_matches_kron_oracle():
     rng = np.random.default_rng(3)
     n = 4
     labels = set(random_labels(rng, n, 200))
@@ -336,8 +352,7 @@ def test_to_dense_tensor_path_matches_kron_path():
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_to_dense_either_side_of_scatter_threshold(extra):
-    # Up to 2**n terms are scattered, one more contracts the coefficient tensor.
+def test_to_dense_around_two_to_the_n_terms_matches_kron_oracle(extra):
     rng = np.random.default_rng(5)
     n = 5
     count = 2**n + extra
@@ -348,8 +363,8 @@ def test_to_dense_either_side_of_scatter_threshold(extra):
 
 
 def test_to_dense_across_term_blocks_round_trips():
-    # At n=10 a block holds 64 strings, so 300 terms span five blocks;
-    # `decompose` is an independent contraction path back to the terms.
+    # 300 random strings at n=10; `decompose` is an independent
+    # contraction path back to the terms.
     rng = np.random.default_rng(4)
     n = 10
     keys = rng.integers(0, 4**n, size=300).astype(np.uint64)
@@ -442,3 +457,5 @@ def test_permute_qubits_matches_relabeled_terms():
     assert moved.terms() == {"IIXY": 2.0, "IYIZ": -1.0}
     with pytest.raises(ValueError):
         permute_qubits(s, {1: 2})
+    with pytest.raises(ValueError):
+        permute_qubits(s, {5: 1})

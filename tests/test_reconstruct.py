@@ -13,9 +13,9 @@ import pytest
 from helpers import random_circuit, run_capped
 
 from dhsim import reconstruct
-from dhsim.circuit import bind, build_teleportation, parse, serialize
+from dhsim.circuit import BoundGate, bind, build_teleportation, parse, serialize
 from dhsim.config import DENSE_QUBITS
-from dhsim.descriptors import evolve
+from dhsim.descriptors import apply_gate, evolve
 from dhsim.errors import BudgetError, GaugeError
 from dhsim.pauli import PauliSum, to_dense
 from dhsim.reconstruct import (
@@ -187,6 +187,19 @@ def test_global_density_mid_teleportation_matches_oracle():
     got = global_density(evolve(bc, upto="after-bell"))
     want = density(evolve_state(bc, upto="after-bell"))
     assert trace_distance(got, want) < 1e-10
+
+
+def test_global_density_after_three_qubit_gate_matches_oracle():
+    # A Toffoli after X 1, X 2 gives |111>; the parser makes no
+    # 3-qubit gates, so the gate is applied directly on both sides.
+    toffoli = np.eye(8, dtype=complex)
+    toffoli[6:, 6:] = [[0, 1], [1, 0]]
+    gate = BoundGate("U3", (1, 2, 3), toffoli)
+    bc = bind(parse("qubits 3\nX 1\nX 2\n"))
+    amps = apply_bound_gate(evolve_state(bc).amplitudes, gate, 3)
+    assert abs(amps[7]) == pytest.approx(1.0)
+    state = apply_gate(evolve(bc), gate)
+    assert trace_distance(density(StateVector(3, amps)), global_density(state)) < 1e-10
 
 
 def test_global_density_custom_initial_state():
@@ -455,6 +468,13 @@ def test_gauge_rejects_non_stabilizing_unitary():
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     with pytest.raises(GaugeError):
         gauge_transform(state, h, (1,))
+
+
+@pytest.mark.parametrize("qubits", [(3,), (0,), (1, 1)])
+def test_gauge_rejects_qubits_outside_network(qubits):
+    v = np.diag([1.0, np.exp(0.5j)]) if len(qubits) == 1 else np.diag([1, 1, 1, -1])
+    with pytest.raises(ValueError, match="gate qubits"):
+        gauge_transform(bell_state(), v, qubits)
 
 
 def test_history_distinction_equal_marginals_different_descriptors():

@@ -3,9 +3,13 @@
 Gate kernels are checked against full unitaries embedded by explicit
 kron products and axis permutations, built independently here.
 """
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dhsim import statevector
 from dhsim.circuit import BoundGate, Circuit, Gate, bind, parse
 from dhsim.errors import BudgetError
 from dhsim.statevector import (
@@ -74,6 +78,25 @@ def test_kernels_match_embedded_unitaries():
         got = apply_bound_gate(psi, gate, n)
         want = embed(gate.matrix, gate.qubits, n) @ psi
         assert np.max(np.abs(got - want)) < 1e-12
+    # The kernel takes any arity; the parser makes no 3-qubit gates.
+    u, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    gate = BoundGate("U3", (3, 1, 4), u)
+    want = embed(gate.matrix, gate.qubits, n) @ psi
+    assert np.max(np.abs(apply_bound_gate(psi, gate, n) - want)) < 1e-12
+
+
+def test_statevector_imports_only_circuit_config_and_errors():
+    # The oracle is the reference side of the dual-picture and
+    # dual-backend checks; it must not borrow the engine's code.
+    tree = ast.parse(Path(statevector.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert relative == {"circuit", "config", "errors"}
+    assert not any(name.startswith("dhsim") for name in absolute)
 
 
 def test_norm_preserved_along_random_circuit():
