@@ -73,11 +73,11 @@ def rotation_matrix(kind: str, angle: float) -> np.ndarray:
     raise ValueError(f"not a rotation kind: {kind}")
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-10)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,6 @@ from .errors import (
 from .infoflow import (
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_SEED,
-    DESCRIPTOR_TOL,
-    TRACE_TOL,
     audit,
     classify_information,
     descriptor_distance,
@@ -194,7 +192,7 @@ def cmd_run(args) -> int:
         payload["descriptors"] = state.to_json()
         lines.append("descriptors: (see JSON output)")
     _emit(args, payload, lines)
-    if dual is not None and dual > args.dual_tol:
+    if dual is not None and dual > DUAL_CHECK_TOL:
         print(
             f"error: pictures disagree (trace distance {dual:.3e}) -- this is a bug",
             file=sys.stderr,
@@ -212,7 +210,6 @@ def cmd_audit(args) -> int:
         circuit, args.param, None if args.qubit is None else [args.qubit],
         base=_parse_bindings(args.bind), at=args.at,
         grid=grid_values(args.grid_points, args.seed),
-        descriptor_tol=args.descriptor_tol, trace_tol=args.trace_tol, backend=args.backend,
     )
     payload = {
         "source": source,
@@ -391,8 +388,6 @@ def cmd_demo(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--seed", type=int, default=DEFAULT_GRID_SEED,
-                   help="seed for dependence-grid sampling")
 
 
 def _add_circuit_source(p: argparse.ArgumentParser):
@@ -400,7 +395,6 @@ def _add_circuit_source(p: argparse.ArgumentParser):
     p.add_argument("--builtin", choices=("bell", "superdense", "teleport", "partial-teleport"))
     p.add_argument("--bits", help="data bits for --builtin superdense, e.g. 10")
     p.add_argument("--bind", action="append", metavar="SYM=VALUE")
-    p.add_argument("--backend", choices=("pauli", "dense"), default="pauli")
     p.add_argument("--at", help="evaluation prefix: a step number or checkpoint name")
 
 
@@ -414,24 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="evolve a circuit and reconstruct states")
     _add_circuit_source(p_run)
     _add_common(p_run)
+    p_run.add_argument("--backend", choices=("pauli", "dense"), default="pauli")
     p_run.add_argument("--subset", action="append", metavar="Q[,Q...]",
                        help="qubit subset to print a reduced density for")
     p_run.add_argument("--expect", action="append", metavar="LETTERS",
                        help='selection string such as "ZZI" to print the '
                             "product expectation for")
     p_run.add_argument("--dump-descriptors", action="store_true")
-    p_run.add_argument("--dual-tol", type=float, default=DUAL_CHECK_TOL,
-                       help="tolerance for the dual-picture consistency check")
     p_run.set_defaults(func=cmd_run)
 
     p_audit = sub.add_parser("audit", help="parameter dependence and contiguity audit")
     _add_circuit_source(p_audit)
     _add_common(p_audit)
+    p_audit.add_argument("--seed", type=int, default=DEFAULT_GRID_SEED,
+                         help="seed for dependence-grid sampling")
     p_audit.add_argument("--param", required=True)
     p_audit.add_argument("--qubit", type=int)
     p_audit.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p_audit.add_argument("--descriptor-tol", type=float, default=DESCRIPTOR_TOL)
-    p_audit.add_argument("--trace-tol", type=float, default=TRACE_TOL)
     p_audit.set_defaults(func=cmd_audit)
 
     p_demo = sub.add_parser("demo", help="run a packaged protocol walkthrough")

@@ -1,8 +1,10 @@
 """Default resource limits.
 
-Functions that can allocate large objects take keyword overrides; these
-constants are only the fallbacks.  The CLI reads the ``DH_DENSE_BUDGET``
-environment variable in place of `DENSE_QUBITS` for the dual-picture check.
+Every function reads these constants directly, except that
+`reconstruct.global_density` and `statevector.evolve_state` take a
+``dense_budget`` keyword in place of `DENSE_QUBITS`.  The CLI sets it
+from the ``DH_DENSE_BUDGET`` environment variable for the global
+density and the dual-picture check.
 """
 
 # Coefficients below this magnitude are dropped after every sum/product.

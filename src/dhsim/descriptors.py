@@ -115,13 +115,12 @@ def single_string_sum(n: int, qubit: int, m: int) -> PauliSum:
     return PauliSum.from_string(PauliString.from_letters(letters))
 
 
-def init_network(n: int, *, max_qubits: Optional[int] = None) -> NetworkState:
+def init_network(n: int) -> NetworkState:
     """Fresh network: each component is one unnormalized string of weight 1."""
-    limit = MAX_NETWORK_QUBITS if max_qubits is None else max_qubits
     if n < 1:
         raise ValueError("need at least one qubit")
-    if n > limit:
-        raise BudgetError(f"network of {n} qubits exceeds the maximum of {limit}")
+    if n > MAX_NETWORK_QUBITS:
+        raise BudgetError(f"network of {n} qubits exceeds the maximum of {MAX_NETWORK_QUBITS}")
     descriptors = tuple(
         Descriptor(
             q,
@@ -176,16 +175,21 @@ def build_rewrite_table(gate_or_matrix, qubits: Optional[Sequence[int]] = None) 
     """Tabulate V^dag P V over the local string basis, then snap weights.
 
     Accepts a `BoundGate` or a raw unitary plus its qubit list.  Raises
-    if the matrix is not unitary or if the tabulated map fails to
-    reproduce dense conjugation to 1e-12.
+    if the matrix's shape does not fit the qubits, if it is not unitary,
+    or if the tabulated map fails to reproduce dense conjugation to 1e-12.
     """
     if isinstance(gate_or_matrix, BoundGate):
         gate_or_matrix, qubits = gate_or_matrix.matrix, gate_or_matrix.qubits
     matrix = np.asarray(gate_or_matrix, dtype=complex)
     arity = len(tuple(qubits))
-    if matrix.shape != (2**arity, 2**arity) or not is_unitary(matrix, 1e-10):
-        raise ValueError("gate matrix is not unitary")
     dim = 2**arity
+    if matrix.shape != (dim, dim):
+        raise ValueError(
+            f"gate matrix of shape {matrix.shape} cannot act on {arity} gate qubits; "
+            f"it needs shape {(dim, dim)}"
+        )
+    if not is_unitary(matrix):
+        raise ValueError("gate matrix is not unitary")
     entries = {}
     for letters in _local_letter_tuples(arity):
         if all(m == 0 for m in letters):
@@ -372,15 +376,13 @@ def evolve(
     bc: BoundCircuit,
     backend: str = "pauli",
     upto: Union[int, str, None] = None,
-    *,
-    max_qubits: Optional[int] = None,
 ) -> NetworkState:
     """Fold the circuit's gates over a fresh network."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "dense":
         return _dense_network(bc, upto)
-    state = init_network(bc.n, max_qubits=max_qubits)
+    state = init_network(bc.n)
     for gate in bc.prefix(upto):
         state = apply_gate(state, gate)
     return state

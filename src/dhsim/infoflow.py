@@ -3,7 +3,8 @@
 "Depends on a parameter" is operationalized numerically: the parameter
 sweeps a fixed-seed pseudo-random grid in [0, 2pi) while every other
 symbol stays at a provided base binding (default 0), and dependence
-means some grid pair moves the probe past a tolerance.  Probes:
+means some grid pair moves the probe past a fixed tolerance
+(`DESCRIPTOR_TOL` for descriptors, `TRACE_TOL` for densities).  Probes:
 
 * descriptor dependence -- the qubit's triple moves in coefficient norm
   (the norm equals the dense Frobenius norm scaled by 2**(-n/2), so a
@@ -35,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .circuit import Circuit, bind
 from .descriptors import Descriptor, NetworkState, apply_gate, evolve
 from .errors import BindingError, SizeMismatchError
-from .reconstruct import InitialState, global_density, reduced_density
+from .reconstruct import global_density, reduced_density
 from .statevector import trace_distance
 
 DEFAULT_GRID_POINTS = 5
@@ -81,33 +82,26 @@ class Witness:
         }
 
 
-def _scan_pairs(items, metric) -> tuple[float, tuple[int, int]]:
-    worst, pair = 0.0, (0, 0)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = metric(items[i], items[j])
-            if d > worst:
-                worst, pair = d, (i, j)
-    return worst, pair
-
-
 def _dependence(
     bindings: list[dict], probes: list, metric, tol: float
 ) -> tuple[bool, Witness]:
-    worst, (i, j) = _scan_pairs(probes, metric)
+    worst, i, j = 0.0, 0, 0
+    for a in range(len(probes)):
+        for b in range(a + 1, len(probes)):
+            d = metric(probes[a], probes[b])
+            if d > worst:
+                worst, i, j = d, a, b
     return worst > tol, Witness(bindings[i], bindings[j], worst)
 
 
 def _sweep(
-    c: Circuit, base: Optional[Mapping[str, float]], at: At,
-    grid: Optional[Sequence[float]], backend: str,
+    c: Circuit, base: Optional[Mapping[str, float]], at: At, grid: Optional[Sequence[float]]
 ):
     """Return ``sweep(param) -> (bindings, states)`` over the grid.
 
     The gates before the first symbol-carrying gate, cut at `at`, are the
     same under every binding of every symbol: the first call evolves them
-    once and every grid binding continues from that shared state.  The
-    dense backend evolves each binding from scratch.
+    once and every grid binding continues from that shared state.
     """
     grid = tuple(grid) if grid is not None else grid_values()
     if len(grid) < 2:
@@ -123,13 +117,11 @@ def _sweep(
             raise BindingError(f"symbol {param!r} is not declared by the circuit")
         filled = {name: base.get(name, 0.0) for name in c.params if name != param}
         bindings = [dict(filled, **{param: v}) for v in grid]
-        if backend == "dense":
-            return bindings, [evolve(bind(c, b), backend=backend, upto=at) for b in bindings]
         stop = c.resolve_step(at)
         bound = [bind(c, b) for b in bindings]
         if not shared:
             first = next((i for i, g in enumerate(c.gates) if g.symbol is not None), stop)
-            shared.append(evolve(bound[0], backend=backend, upto=min(first, stop)))
+            shared.append(evolve(bound[0], upto=min(first, stop)))
         states = []
         for bc in bound:
             state = shared[0]
@@ -149,12 +141,11 @@ def depends_descriptor(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    tol: float = DESCRIPTOR_TOL,
-    backend: str = "pauli",
 ) -> tuple[bool, Witness]:
     """Does the qubit's descriptor move when the parameter sweeps?"""
-    bindings, states = _sweep(c, base, at, grid, backend)(param)
-    return _dependence(bindings, [s.descriptor(qubit) for s in states], descriptor_distance, tol)
+    bindings, states = _sweep(c, base, at, grid)(param)
+    probes = [s.descriptor(qubit) for s in states]
+    return _dependence(bindings, probes, descriptor_distance, DESCRIPTOR_TOL)
 
 
 def depends_reduced(
@@ -165,15 +156,12 @@ def depends_reduced(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    tol: float = TRACE_TOL,
-    backend: str = "pauli",
-    rho0: Optional[InitialState] = None,
 ) -> tuple[bool, Witness]:
     """Does the subset's reduced density move when the parameter sweeps?"""
     subset = sorted(set(subset))
-    bindings, states = _sweep(c, base, at, grid, backend)(param)
-    densities = [reduced_density(s, subset, rho0) for s in states]
-    return _dependence(bindings, densities, trace_distance, tol)
+    bindings, states = _sweep(c, base, at, grid)(param)
+    densities = [reduced_density(s, subset) for s in states]
+    return _dependence(bindings, densities, trace_distance, TRACE_TOL)
 
 
 def depends_global(
@@ -183,14 +171,11 @@ def depends_global(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    tol: float = TRACE_TOL,
-    backend: str = "pauli",
-    rho0: Optional[InitialState] = None,
 ) -> tuple[bool, Witness]:
     """Does the full density matrix move when the parameter sweeps?"""
-    bindings, states = _sweep(c, base, at, grid, backend)(param)
-    densities = [global_density(s, rho0) for s in states]
-    return _dependence(bindings, densities, trace_distance, tol)
+    bindings, states = _sweep(c, base, at, grid)(param)
+    densities = [global_density(s) for s in states]
+    return _dependence(bindings, densities, trace_distance, TRACE_TOL)
 
 
 @dataclass(frozen=True)
@@ -233,10 +218,6 @@ def classify_information(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    descriptor_tol: float = DESCRIPTOR_TOL,
-    trace_tol: float = TRACE_TOL,
-    backend: str = "pauli",
-    rho0: Optional[InitialState] = None,
 ) -> DependenceVerdict:
     """Classify what the qubit carries about the parameter.
 
@@ -244,8 +225,8 @@ def classify_information(
     states.  ``locally-inaccessible`` means the triple and the global
     statistics move while the qubit's own reduced density does not.
     """
-    bindings, states = _sweep(c, base, at, grid, backend)(param)
-    return _verdicts(param, bindings, states, [qubit], descriptor_tol, trace_tol, rho0)[0]
+    bindings, states = _sweep(c, base, at, grid)(param)
+    return _verdicts(param, bindings, states, [qubit])[0]
 
 
 def audit(
@@ -256,41 +237,35 @@ def audit(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    descriptor_tol: float = DESCRIPTOR_TOL,
-    trace_tol: float = TRACE_TOL,
-    backend: str = "pauli",
 ) -> tuple[tuple[DependenceVerdict, ...], ContiguityReport]:
     """Classify each qubit (default: all) and audit contiguity in one pass.
 
-    Equal to `classify_information` per qubit plus `contiguity_audit` at
-    ``tol=descriptor_tol``, from one sweep of `param`; every other
-    audited symbol is swept once from the same shared prefix.
+    Equal to `classify_information` per qubit plus `contiguity_audit`,
+    from one sweep of `param`; every other audited symbol is swept once
+    from the same shared prefix.
     """
-    sweep = _sweep(c, base, at, grid, backend)
+    sweep = _sweep(c, base, at, grid)
     bindings, states = sweep(param)
     qubits = range(1, c.n + 1) if qubits is None else qubits
-    verdicts = _verdicts(param, bindings, states, qubits, descriptor_tol, trace_tol, None)
-    report = _contiguity(
-        c, at, descriptor_tol, lambda p: (bindings, states) if p == param else sweep(p)
-    )
+    verdicts = _verdicts(param, bindings, states, qubits)
+    report = _contiguity(c, at, lambda p: (bindings, states) if p == param else sweep(p))
     return verdicts, report
 
 
 def _verdicts(
-    param: str, bindings: list[dict], states: list[NetworkState], qubits: Iterable[int],
-    descriptor_tol: float, trace_tol: float, rho0: Optional[InitialState],
+    param: str, bindings: list[dict], states: list[NetworkState], qubits: Iterable[int]
 ) -> tuple[DependenceVerdict, ...]:
     """Classify each qubit from one sweep; the global probe is shared."""
     g_dep, g_wit = _dependence(
-        bindings, [global_density(s, rho0) for s in states], trace_distance, trace_tol
+        bindings, [global_density(s) for s in states], trace_distance, TRACE_TOL
     )
     verdicts = []
     for qubit in qubits:
         d_dep, d_wit = _dependence(
-            bindings, [s.descriptor(qubit) for s in states], descriptor_distance, descriptor_tol
+            bindings, [s.descriptor(qubit) for s in states], descriptor_distance, DESCRIPTOR_TOL
         )
         r_dep, r_wit = _dependence(
-            bindings, [reduced_density(s, [qubit], rho0) for s in states], trace_distance, trace_tol
+            bindings, [reduced_density(s, [qubit]) for s in states], trace_distance, TRACE_TOL
         )
         verdicts.append(DependenceVerdict(
             subject=qubit,
@@ -399,14 +374,12 @@ def contiguity_audit(
     base: Optional[Mapping[str, float]] = None,
     at: At = None,
     grid: Optional[Sequence[float]] = None,
-    tol: float = DESCRIPTOR_TOL,
-    backend: str = "pauli",
 ) -> ContiguityReport:
     """Assert no descriptor depends on a parameter absent from its cone."""
-    return _contiguity(c, at, tol, _sweep(c, base, at, grid, backend))
+    return _contiguity(c, at, _sweep(c, base, at, grid))
 
 
-def _contiguity(c: Circuit, at: At, tol: float, sweep) -> ContiguityReport:
+def _contiguity(c: Circuit, at: At, sweep) -> ContiguityReport:
     """Sweep each audited parameter once; every qubit auditing it reads those states."""
     cones = tuple(past_cone(c, q, at) for q in range(1, c.n + 1))
     audited: dict[str, list[int]] = {}
@@ -420,7 +393,8 @@ def _contiguity(c: Circuit, at: At, tol: float, sweep) -> ContiguityReport:
         bindings, states = sweep(param)
         for qubit in qubits:
             depends, witness = _dependence(
-                bindings, [s.descriptor(qubit) for s in states], descriptor_distance, tol
+                bindings, [s.descriptor(qubit) for s in states], descriptor_distance,
+                DESCRIPTOR_TOL,
             )
             checks.append(ContiguityCheck(qubit, param, depends, witness))
     return ContiguityReport(c.n, cones, tuple(checks))

@@ -249,19 +249,19 @@ class PauliSum:
     def identity_coeff(self) -> complex:
         return self.coeff(PauliString.identity(self.n))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         if self.num_terms == 0:
             return True
-        return float(np.max(np.abs(self._coeffs.imag))) <= tol
+        return float(np.max(np.abs(self._coeffs.imag))) <= 1e-12
 
     def coeff_norm(self) -> float:
         """2-norm of the coefficient vector (= Frobenius norm / 2**(n/2))."""
         return float(np.linalg.norm(self._coeffs))
 
-    def allclose(self, other: "PauliSum", tol: float = 1e-10) -> bool:
+    def allclose(self, other: "PauliSum") -> bool:
         if self.n != other.n:
             return False
-        return (self - other).coeff_norm() <= tol
+        return (self - other).coeff_norm() <= 1e-10
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):
@@ -468,10 +468,9 @@ def hs_inner(a: PauliSum, b: PauliSum) -> complex:
 # -- dense conversions ---------------------------------------------------
 
 
-def _check_dense_budget(n: int, dense_budget):
-    limit = DENSE_QUBITS if dense_budget is None else dense_budget
-    if n > limit:
-        raise BudgetError(f"dense form of {n} qubits exceeds the budget of {limit}")
+def _check_dense_budget(n: int):
+    if n > DENSE_QUBITS:
+        raise BudgetError(f"dense form of {n} qubits exceeds the budget of {DENSE_QUBITS}")
 
 
 def _string_action(n: int, keys: np.ndarray, basis: np.ndarray):
@@ -523,19 +522,19 @@ def _coeff_tensor_to_dense(tensor: np.ndarray) -> np.ndarray:
     return out.transpose(rows + cols).reshape(2**n, 2**n)
 
 
-def to_dense(s: PauliSum, *, dense_budget: int | None = None) -> np.ndarray:
+def to_dense(s: PauliSum) -> np.ndarray:
     """Dense matrix of a sum; qubit 1 is the least significant bit.
 
     The coefficients fill the [4]*n tensor (axes m_n..m_1), whose
     contraction costs about n 4**n whatever the number of terms.
     """
-    _check_dense_budget(s.n, dense_budget)
+    _check_dense_budget(s.n)
     flat = np.zeros(4**s.n, dtype=np.complex128)
     flat[_letters(s.n, s._keys) @ 4 ** np.arange(s.n)] = s._coeffs
     return _coeff_tensor_to_dense(flat.reshape([4] * s.n))
 
 
-def decompose(m: np.ndarray, *, dense_budget: int | None = None) -> PauliSum:
+def decompose(m: np.ndarray) -> PauliSum:
     """Expand a dense matrix over unnormalized strings: c_P = Tr(m P) / 2**n."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -544,7 +543,7 @@ def decompose(m: np.ndarray, *, dense_budget: int | None = None) -> PauliSum:
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
         raise ValueError(f"matrix dimension {dim} is not a power of two >= 2")
-    _check_dense_budget(n, dense_budget)
+    _check_dense_budget(n)
     tensor = m.reshape([2] * (2 * n))
     # Contract qubit n first: its (row, col) axes sit at (0, n_remaining).
     out = tensor

@@ -214,6 +214,28 @@ def test_audit_negative_seed_exit_code(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--builtin", "bell", "--seed", "5"),
+        ("demo", "gauge", "--seed", "7"),
+        ("run", "--builtin", "bell", "--dual-tol", "1e-3"),
+        ("audit", "--builtin", "teleport", "--param", "theta", "--descriptor-tol", "1e-3"),
+        ("audit", "--builtin", "teleport", "--param", "theta", "--trace-tol", "1e-3"),
+        ("audit", "--builtin", "teleport", "--param", "theta", "--backend", "dense"),
+    ],
+    ids=["run-seed", "demo-seed", "run-dual-tol", "audit-descriptor-tol",
+         "audit-trace-tol", "audit-backend"],
+)
+def test_fixed_settings_are_not_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_audit_qubit_zero_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "audit", "--builtin", "teleport", "--param", "theta", "--qubit", "0"

@@ -58,7 +58,7 @@ def test_init_three_qubits_commuting_components():
 
 def test_init_budget():
     with pytest.raises(BudgetError):
-        init_network(30, max_qubits=24)
+        init_network(30)
 
 
 # -- rewrite tables -----------------------------------------------------------
@@ -310,7 +310,7 @@ def test_algebra_preserved_along_circuit():
         assert dev["identity"] < 1e-12
         for d in state.descriptors:
             for comp in d.components:
-                assert comp.is_hermitian(1e-12)
+                assert comp.is_hermitian()
 
 
 def test_factorization_of_disjoint_blocks_is_exact():
@@ -423,10 +423,14 @@ def test_conjugate_sum_matches_dense():
     assert conjugated.coeff("XIZ") == -0.4 + 0.1j
 
 
-@pytest.mark.parametrize("qubits", [(4,), (0,), (2, 2)])
-def test_conjugate_sum_rejects_gate_qubits_outside_network(qubits):
+@pytest.mark.parametrize(
+    "qubits, dim",
+    [((4,), 2), ((0,), 2), ((2, 2), 4), ((1, 2), 2)],  # last: a 2x2 matrix on two qubits
+    ids=["qubits0", "qubits1", "qubits2", "matrix-too-small"],
+)
+def test_conjugate_sum_rejects_gate_qubits_outside_network(qubits, dim):
     s = PauliSum.from_terms(3, {"XIZ": 1.0})
-    u = np.eye(2 ** len(qubits))
+    u = np.eye(dim)
     with pytest.raises(ValueError, match="gate qubits"):
         conjugate_sum(s, u, qubits)
 

@@ -103,22 +103,21 @@ PREFIX_THEN_SYMBOLS = (
 
 
 @pytest.mark.parametrize(
-    "text, param, at, backend",
+    "text, param, at",
     [
-        (SYMBOL_FIRST, "a", None, "pauli"),  # the first gate carries a symbol
-        (PREFIX_THEN_SYMBOLS, "b", None, "pauli"),
-        (PREFIX_THEN_SYMBOLS, "a", 3, "pauli"),  # `at` before the first symbol
-        (PREFIX_THEN_SYMBOLS, "b", 7, "pauli"),
-        (PREFIX_THEN_SYMBOLS, "a", None, "dense"),
+        (SYMBOL_FIRST, "a", None),  # the first gate carries a symbol
+        (PREFIX_THEN_SYMBOLS, "b", None),
+        (PREFIX_THEN_SYMBOLS, "a", 3),  # `at` before the first symbol
+        (PREFIX_THEN_SYMBOLS, "b", 7),
     ],
 )
-def test_sweep_states_equal_fresh_evolves(text, param, at, backend):
+def test_sweep_states_equal_fresh_evolves(text, param, at):
     c = parse(text)
-    sweep = _sweep(c, {"a": 0.3}, at, grid_values(), backend)
+    sweep = _sweep(c, {"a": 0.3}, at, grid_values())
     for name in (param, *(p for p in c.params if p != param)):
         bindings, states = sweep(name)
         for b, state in zip(bindings, states):
-            fresh = evolve(bind(c, b), backend=backend, upto=at)
+            fresh = evolve(bind(c, b), upto=at)
             assert state.step == fresh.step
             assert state.descriptors == fresh.descriptors
             assert [(g.kind, g.qubits) for g in state.history] == [
@@ -134,7 +133,7 @@ def test_audit_evolves_the_shared_prefix_once(monkeypatch):
         infoflow, "evolve", lambda bc, **kw: calls.append(kw) or evolve(bc, **kw)
     )
     verdicts, report = audit(parse(PREFIX_THEN_SYMBOLS), "a")
-    assert calls == [{"backend": "pauli", "upto": 5}]
+    assert calls == [{"upto": 5}]
     assert len(verdicts) == 3 and report.checks
 
 

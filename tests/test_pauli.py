@@ -385,9 +385,6 @@ def test_decompose_rejects_bad_shapes():
 def test_dense_budget():
     with pytest.raises(BudgetError):
         to_dense(PauliSum.identity(11))
-    assert to_dense(PauliSum.identity(3), dense_budget=3).shape == (8, 8)
-    with pytest.raises(BudgetError):
-        to_dense(PauliSum.identity(3), dense_budget=2)
 
 
 # -- inner product -----------------------------------------------------------
@@ -431,7 +428,7 @@ def test_conjugated_hermitian_has_real_coefficients():
     h = raw + raw.conj().T
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     s = decompose(q.conj().T @ h @ q)
-    assert s.is_hermitian(1e-12)
+    assert s.is_hermitian()
 
 
 def test_commutator_of_commuting_strings_vanishes():

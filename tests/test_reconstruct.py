@@ -470,9 +470,17 @@ def test_gauge_rejects_non_stabilizing_unitary():
         gauge_transform(state, h, (1,))
 
 
-@pytest.mark.parametrize("qubits", [(3,), (0,), (1, 1)])
-def test_gauge_rejects_qubits_outside_network(qubits):
-    v = np.diag([1.0, np.exp(0.5j)]) if len(qubits) == 1 else np.diag([1, 1, 1, -1])
+@pytest.mark.parametrize(
+    "qubits, v",
+    [
+        ((3,), np.diag([1.0, np.exp(0.5j)])),
+        ((0,), np.diag([1.0, np.exp(0.5j)])),
+        ((1, 1), np.diag([1, 1, 1, -1])),
+        ((1, 2), np.eye(2)),  # a one-qubit matrix on two qubits
+    ],
+    ids=["qubits0", "qubits1", "qubits2", "matrix-too-small"],
+)
+def test_gauge_rejects_qubits_outside_network(qubits, v):
     with pytest.raises(ValueError, match="gate qubits"):
         gauge_transform(bell_state(), v, qubits)
 
