@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .circuit import BoundCircuit, BoundGate, is_unitary
-from .config import DENSE_QUBITS, MAX_NETWORK_QUBITS
+from .config import DENSE_QUBITS, MAX_NETWORK_QUBITS, TERM_BUDGET
 from .errors import BudgetError, InvariantError
 from .pauli import (
     SIGMA,
@@ -45,6 +45,7 @@ from .pauli import (
     PauliSum,
     _keys,
     _letters,
+    _streamed_sum,
     commutator,
     decompose,
     sum_combine,
@@ -153,35 +154,58 @@ class RewriteTable:
         return self.entries[letters]
 
 
-def _snap(value: float) -> float:
+def _snap(values: np.ndarray) -> np.ndarray:
+    """Each value within `_SNAP_EPS` of a target, set to that target.
+
+    The targets lie much farther apart than the window, so at most one
+    matches.
+    """
+    out = values.copy()
     for target in _SNAP_TARGETS:
-        if abs(value - target) < _SNAP_EPS:
-            return target
-    return value
+        out[np.abs(values - target) < _SNAP_EPS] = target
+    return out
 
 
 def _local_letter_tuples(arity: int):
     return itertools.product(range(4), repeat=arity)
 
 
-def _local_dense(letters: tuple[int, ...]) -> np.ndarray:
-    out = SIGMA[letters[0]]
-    for m in letters[1:]:
-        out = np.kron(out, SIGMA[m])
-    return out
+def _local_basis(arity: int) -> np.ndarray:
+    """The 4^arity local strings as a stack of dense matrices.
+
+    Stacked in `_local_letter_tuples` order; each string is the Kronecker
+    product of its letters, first gate qubit most significant.
+    """
+    basis = SIGMA
+    for _ in range(arity - 1):
+        dim = 2 * basis.shape[1]
+        basis = np.kron(basis[:, None], SIGMA[None]).reshape(4 * len(basis), dim, dim)
+    return basis
 
 
 def build_rewrite_table(gate_or_matrix, qubits: Optional[Sequence[int]] = None) -> RewriteTable:
     """Tabulate V^dag P V over the local string basis, then snap weights.
 
-    Accepts a `BoundGate` or a raw unitary plus its qubit list.  Raises
+    Accepts a `BoundGate` or a raw unitary plus its qubit list.  Each
+    image's weights come from one batched product with the whole basis,
+    so a step holds 4^k matrices of 2^k x 2^k entries (1 MiB at arity 4);
+    the images, their weights and the rebuilt check hold about as much.
+    A table holds up to 16^k weights, so arity k with 16^k above
+    `TERM_BUDGET` (k >= 5) raises `BudgetError` before any work.  Raises
     if the matrix's shape does not fit the qubits, if it is not unitary,
     or if the tabulated map fails to reproduce dense conjugation to 1e-12.
     """
     if isinstance(gate_or_matrix, BoundGate):
         gate_or_matrix, qubits = gate_or_matrix.matrix, gate_or_matrix.qubits
-    matrix = np.asarray(gate_or_matrix, dtype=complex)
     arity = len(tuple(qubits))
+    if arity == 0:
+        raise ValueError("no gate qubits given; a gate acts on at least one qubit")
+    if 16**arity > TERM_BUDGET:
+        raise BudgetError(
+            f"a rewrite table of arity {arity} holds up to {16**arity} weights, "
+            f"over the budget of {TERM_BUDGET}"
+        )
+    matrix = np.asarray(gate_or_matrix, dtype=complex)
     dim = 2**arity
     if matrix.shape != (dim, dim):
         raise ValueError(
@@ -190,32 +214,27 @@ def build_rewrite_table(gate_or_matrix, qubits: Optional[Sequence[int]] = None) 
         )
     if not is_unitary(matrix):
         raise ValueError("gate matrix is not unitary")
+    letter_tuples = list(_local_letter_tuples(arity))
+    basis = _local_basis(arity)
+    images = [matrix.conj().T @ string @ matrix for string in basis[1:]]
+    # One batched product per image keeps a step at 4^k matrices, and
+    # np.trace over it gives each weight to the bit of a per-pair trace;
+    # an einsum contraction sums in another order.
+    raw = np.array([np.trace(image @ basis, axis1=1, axis2=2) for image in images]) / dim
+    if np.max(np.abs(raw.imag)) > _TABLE_ATOL:
+        raise InvariantError("non-real weight in a conjugation table")
+    # Verify the exact (unsnapped) expansion reproduces the dense
+    # conjugation; only then snap the stored weights, which moves each
+    # by less than the snap window by construction.
+    if np.max(np.abs(np.tensordot(raw.real, basis, 1) - images)) > _TABLE_ATOL:
+        raise InvariantError("tabulated conjugation does not match the dense image")
+    weights = _snap(raw.real)
+    if np.any(weights[:, 0] != 0.0):
+        raise InvariantError("conjugation image acquired an identity part")
     entries = {}
-    for letters in _local_letter_tuples(arity):
-        if all(m == 0 for m in letters):
-            continue
-        image = matrix.conj().T @ _local_dense(letters) @ matrix
-        raw = []
-        for out_letters in _local_letter_tuples(arity):
-            coeff = np.trace(image @ _local_dense(out_letters)) / dim
-            if abs(coeff.imag) > _TABLE_ATOL:
-                raise InvariantError("non-real weight in a conjugation table")
-            raw.append((float(coeff.real), out_letters))
-        # Verify the exact (unsnapped) expansion reproduces the dense
-        # conjugation; only then snap the stored weights, which moves
-        # each by less than the snap window by construction.
-        rebuilt = sum(w * _local_dense(ls) for w, ls in raw)
-        if np.max(np.abs(rebuilt - image)) > _TABLE_ATOL:
-            raise InvariantError("tabulated conjugation does not match the dense image")
-        terms = []
-        for value, out_letters in raw:
-            weight = _snap(value)
-            if weight == 0.0:
-                continue
-            if all(m == 0 for m in out_letters):
-                raise InvariantError("conjugation image acquired an identity part")
-            terms.append((weight, out_letters))
-        entries[letters] = tuple(terms)
+    for letters, row in zip(letter_tuples[1:], weights):
+        kept = np.flatnonzero(row)
+        entries[letters] = tuple(zip(row[kept].tolist(), [letter_tuples[j] for j in kept]))
     return RewriteTable(arity, entries)
 
 
@@ -223,12 +242,15 @@ _TABLE_CACHE: dict = {}
 
 
 def _cached_table(matrix: np.ndarray, qubits: Sequence[int]) -> RewriteTable:
+    # A miss costs well under a millisecond for one- and two-qubit gates,
+    # so the cache need only keep tables that repeat, such as Clifford
+    # gates'; clearing it when full bounds it at 64 tables.
     matrix = np.asarray(matrix, dtype=complex)
     key = (len(qubits), matrix.tobytes())
     table = _TABLE_CACHE.get(key)
     if table is None:
         table = build_rewrite_table(matrix, qubits)
-        if len(_TABLE_CACHE) > 4096:
+        if len(_TABLE_CACHE) >= 64:
             _TABLE_CACHE.clear()
         _TABLE_CACHE[key] = table
     return table
@@ -280,6 +302,10 @@ def conjugate_sum(s: PauliSum, matrix: np.ndarray, qubits: Sequence[int]) -> Pau
 
     Rewrites the support letters of every term through the gate's
     table; terms that are identity on the support map to themselves.
+    The terms are rewritten in blocks, each merged into a running sum
+    checked against the term budget, as in `sum_mul`: memory is bounded
+    by a block and the result, and the result is the same to the bit as
+    one merge of every image term.
     """
     support = tuple(qubits)
     if len(set(support)) != len(support) or not all(1 <= q <= s.n for q in support):
@@ -288,15 +314,22 @@ def conjugate_sum(s: PauliSum, matrix: np.ndarray, qubits: Sequence[int]) -> Pau
     images = {identity: ((1.0, identity),), **_cached_table(matrix, support).entries}
     if s.num_terms == 0:
         return s
+    n = s.n
     cols = np.array(support) - 1
-    letters = _letters(s.n, s.keys())
-    per_term = [images[tuple(local)] for local in letters[:, cols].tolist()]
-    counts = [len(image) for image in per_term]
-    terms = [term for image in per_term for term in image]
-    rows = np.repeat(letters, counts, axis=0)
-    rows[:, cols] = [out for _, out in terms]
-    weights = np.array([w for w, _ in terms])
-    return PauliSum(s.n, _keys(s.n, rows), weights * np.repeat(s.coeffs(), counts))
+    keys, coeffs = s.keys(), s.coeffs()
+
+    def block(rows: slice):
+        letters = _letters(n, keys[rows])
+        per_term = [images[tuple(local)] for local in letters[:, cols].tolist()]
+        counts = [len(image) for image in per_term]
+        terms = [term for image in per_term for term in image]
+        out = np.repeat(letters, counts, axis=0)
+        out[:, cols] = [local for _, local in terms]
+        weights = np.array([w for w, _ in terms])
+        return _keys(n, out), weights * np.repeat(coeffs[rows], counts)
+
+    width = max(len(image) for image in images.values())
+    return _streamed_sum(n, s.num_terms, width, block)
 
 
 def evolve_observable(

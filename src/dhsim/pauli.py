@@ -381,7 +381,7 @@ def sum_scale(a: PauliSum, scalar: complex) -> PauliSum:
     return sum_combine([(scalar, a)])
 
 
-# Products of more pairs than this are built in row blocks of `a`.
+# Streamed sums of more terms than this are built in row blocks.
 _BLOCK_PAIRS = 1 << 16
 
 
@@ -406,36 +406,34 @@ def _pair_grid(n: int, a: PauliSum, b: PauliSum, rows: slice):
     return keys.ravel(), coeffs.ravel()
 
 
-def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Distribute string multiplication over all term pairs.
+def _streamed_sum(n: int, num_rows: int, width: int, block) -> PauliSum:
+    """The sum of the terms that `block` yields for rows ``0..num_rows-1``.
 
-    A product of more than `_BLOCK_PAIRS` pairs is built in row blocks,
-    each merged into a running sum, so memory is bounded by a block and
-    the result, not by |a| x |b|.  Every string's pairs are added in
-    row-major order starting from 0, as `_canonical` adds the whole
-    grid, so the result is the same to the bit.  The running sum drops
-    exact zeros but is otherwise unpruned, and is checked against the
-    term budget: terms that would cancel later still count.
+    ``block(rows)`` returns the keys and coefficients for a slice of rows,
+    at most `width` terms per row, in order.  More than `_BLOCK_PAIRS`
+    terms are built in row blocks, each merged into a running sum, so
+    memory is bounded by a block and the result, not by the whole.
+    Every string's terms are added in order starting from 0, as
+    `_canonical` adds them in one pass, so the result is the same to the
+    bit.  The running sum drops exact zeros but is otherwise unpruned,
+    and is checked against the term budget: terms that would cancel
+    later still count.
     """
-    _require_same_n(a, b)
-    if a.num_terms == 0 or b.num_terms == 0:
-        return PauliSum.zero(a.n)
-    n = a.n
-    rows = max(1, _BLOCK_PAIRS // b.num_terms)
-    if a.num_terms <= rows:
-        return PauliSum(n, *_pair_grid(n, a, b, slice(None)))
+    rows = max(1, _BLOCK_PAIRS // width)
+    if num_rows <= rows:
+        return PauliSum(n, *block(slice(None)))
     budget = min(4**n, TERM_BUDGET)
     keys = np.empty(0, dtype=np.uint64)
     coeffs = np.empty(0, dtype=np.complex128)
     start = 0
-    while start < a.num_terms:
+    while start < num_rows:
         # A block at least as large as the running sum amortises its re-sort.
-        stop = start + max(rows, len(keys) // b.num_terms)
-        block_keys, block_coeffs = _pair_grid(n, a, b, slice(start, stop))
+        stop = start + max(rows, len(keys) // width)
+        block_keys, block_coeffs = block(slice(start, stop))
         keys, coeffs = _merge(
             np.concatenate([keys, block_keys]), np.concatenate([coeffs, block_coeffs])
         )
-        # An exactly cancelled string would add its later pairs to 0.0
+        # An exactly cancelled string would add its later terms to 0.0
         # again, so dropping it changes no bit and keeps it out of the budget.
         nonzero = coeffs != 0
         keys, coeffs = keys[nonzero], coeffs[nonzero]
@@ -445,6 +443,21 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
             )
         start = stop
     return PauliSum(n, keys, coeffs)
+
+
+def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Distribute string multiplication over all term pairs.
+
+    The pairs are streamed in row blocks of `a` (see `_streamed_sum`),
+    so memory is bounded by a block and the result, not by |a| x |b|,
+    and the result is the same to the bit as one merge of the whole grid.
+    """
+    _require_same_n(a, b)
+    if a.num_terms == 0 or b.num_terms == 0:
+        return PauliSum.zero(a.n)
+    return _streamed_sum(
+        a.n, a.num_terms, b.num_terms, lambda rows: _pair_grid(a.n, a, b, rows)
+    )
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -1,6 +1,8 @@
 """Shared test utilities: an independent unitary-embedding oracle, a
-deterministic random-circuit generator for cross-validation corpora, and
-a runner for code in a child process under an address-space cap."""
+per-pair rewrite-table oracle, a deterministic random-circuit generator
+for cross-validation corpora, and a runner for code in a child process
+under an address-space cap."""
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ import numpy as np
 
 import dhsim
 from dhsim.circuit import Circuit, Gate, ParamRef
+from dhsim.descriptors import _SNAP_EPS, _SNAP_TARGETS
+from dhsim.pauli import SIGMA
 
 CORPUS_GATESET = ("H", "S", "X", "Y", "Z", "CNOT", "CZ", "RY", "RZ", "PHASE")
 
@@ -34,6 +38,41 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
                 row = (row & ~(1 << (q - 1))) | (bit << (q - 1))
             full[row, col] += u[loc_out, loc]
     return full
+
+
+def naive_rewrite_entries(u: np.ndarray, arity: int) -> dict:
+    """Rewrite-table entries by one trace per pair of local strings.
+
+    Each weight of V^dag P V is Tr(V^dag P V Q) / 2^k for one string Q at
+    a time, snapped to the package's targets one scalar at a time; zero
+    weights are dropped.  Slow (4^k x 4^k traces) and kept as the oracle
+    for `build_rewrite_table`.
+    """
+
+    def dense(letters):
+        out = SIGMA[letters[0]]
+        for m in letters[1:]:
+            out = np.kron(out, SIGMA[m])
+        return out
+
+    def snap(value):
+        for target in _SNAP_TARGETS:
+            if abs(value - target) < _SNAP_EPS:
+                return target
+        return value
+
+    dim = 2**arity
+    letter_tuples = list(itertools.product(range(4), repeat=arity))
+    entries = {}
+    for letters in letter_tuples[1:]:
+        image = u.conj().T @ dense(letters) @ u
+        terms = []
+        for out_letters in letter_tuples:
+            weight = snap(float((np.trace(image @ dense(out_letters)) / dim).real))
+            if weight != 0.0:
+                terms.append((weight, out_letters))
+        entries[letters] = tuple(terms)
+    return entries
 
 
 def circuit_unitary(bound_circuit, upto=None) -> np.ndarray:

@@ -6,10 +6,21 @@ expectation identities.
 """
 import numpy as np
 import pytest
-from helpers import circuit_unitary, embed, random_circuit
+from helpers import circuit_unitary, embed, naive_rewrite_entries, random_circuit, run_capped
 
-from dhsim.circuit import BoundGate, Circuit, Gate, bind, build_teleportation, parse
+from dhsim import descriptors, pauli
+from dhsim.circuit import (
+    BoundGate,
+    Circuit,
+    Gate,
+    bind,
+    build_teleportation,
+    parse,
+    rotation_matrix,
+)
 from dhsim.descriptors import (
+    _TABLE_CACHE,
+    _cached_table,
     algebra_deviation,
     apply_gate,
     build_rewrite_table,
@@ -21,7 +32,7 @@ from dhsim.descriptors import (
     gamma_product,
     init_network,
 )
-from dhsim.errors import BudgetError
+from dhsim.errors import BudgetError, InvariantError
 from dhsim.pauli import PauliString, PauliSum, sum_mul, to_dense
 
 
@@ -114,6 +125,46 @@ def test_random_two_qubit_table_reproduces_dense_conjugation():
 def test_table_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         build_rewrite_table(np.ones((2, 2)), (1,))
+
+
+def test_table_equals_per_pair_trace_loop():
+    # The batched build must give every weight to the bit of the loop.
+    rng = np.random.default_rng(41)
+    angles = (0.3, 1.1, 2.9)
+    source = "qubits 2\nH 1\nS 1\nCNOT 1 2\nCZ 2 1\n" + "".join(
+        f"{kind}({a!r}) 1\n" for kind in ("RY", "RZ", "PHASE") for a in angles
+    )
+    gates = [(g.matrix, len(g.qubits)) for g in bind(parse(source)).gates]
+    gates += [(random_haar(rng, 2**k), k) for k in (1, 2, 3)]
+    for u, arity in gates:
+        want = naive_rewrite_entries(u, arity)
+        assert build_rewrite_table(u, range(1, arity + 1)).entries == want
+
+
+def test_table_rejects_image_with_identity_part():
+    # Unitary within is_unitary's tolerance, but Z's image gains an
+    # identity weight of about 3e-11, far outside the snap window.
+    with pytest.raises(InvariantError, match="identity part"):
+        build_rewrite_table(np.diag([1 + 3e-11, 1]), (1,))
+
+
+def test_table_arity_over_budget_raises_before_any_work(monkeypatch):
+    # 16**5 weights exceed TERM_BUDGET; not even the unitarity check runs.
+    def refuse(_):
+        raise AssertionError("work started on an over-budget table")
+
+    monkeypatch.setattr(descriptors, "is_unitary", refuse)
+    with pytest.raises(BudgetError, match="arity 5"):
+        build_rewrite_table(np.eye(32), (1, 2, 3, 4, 5))
+
+
+def test_table_cache_is_bounded_and_keeps_repeated_tables():
+    for angle in np.linspace(0.01, 3.0, 200):
+        _cached_table(rotation_matrix("RZ", float(angle)), (1,))
+        assert len(_TABLE_CACHE) <= 64
+    h = bind(parse("qubits 1\nH 1\n")).gates[0]
+    table = _cached_table(h.matrix, h.qubits)
+    assert _cached_table(h.matrix, h.qubits) is table
 
 
 # -- gate application -----------------------------------------------------------
@@ -423,10 +474,53 @@ def test_conjugate_sum_matches_dense():
     assert conjugated.coeff("XIZ") == -0.4 + 0.1j
 
 
+@pytest.mark.parametrize("width", [15, 1], ids=["generic", "clifford"])
+def test_conjugate_sum_blocks_match_one_merge(monkeypatch, width):
+    # 300 terms of up to 15 image terms each: one merge at the default
+    # block size, many blocks growing with the running sum at 64.
+    rng = np.random.default_rng([20, width])
+    s = PauliSum(8, rng.choice(4**8, 300, replace=False), rng.normal(size=300))
+    v = random_haar(rng, 4) if width == 15 else bind(parse("qubits 2\nCNOT 1 2\n")).gates[0].matrix
+    want = conjugate_sum(s, v, (6, 2))
+    monkeypatch.setattr(pauli, "_BLOCK_PAIRS", 64)
+    got = conjugate_sum(s, v, (6, 2))
+    assert np.array_equal(got.keys(), want.keys())
+    assert np.array_equal(got.coeffs(), want.coeffs())
+
+
+def test_conjugate_sum_over_budget_under_small_address_space():
+    # A million terms at n=24 fit TERM_BUDGET, but their images under a
+    # generic two-qubit gate do not.  Rewriting every term at once took
+    # a 2.5 GiB letter array and ended in MemoryError.
+    proc = run_capped(
+        """
+import numpy as np
+from dhsim.descriptors import conjugate_sum
+from dhsim.errors import BudgetError
+from dhsim.pauli import PauliSum
+rng = np.random.default_rng(70)
+s = PauliSum(24, rng.integers(0, 4**24, 10**6, dtype=np.uint64), rng.normal(size=10**6))
+u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+try:
+    conjugate_sum(s, u, (1, 2))
+except BudgetError as exc:
+    print("BudgetError:", exc)
+"""
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("BudgetError:"), proc.stdout
+
+
 @pytest.mark.parametrize(
     "qubits, dim",
-    [((4,), 2), ((0,), 2), ((2, 2), 4), ((1, 2), 2)],  # last: a 2x2 matrix on two qubits
-    ids=["qubits0", "qubits1", "qubits2", "matrix-too-small"],
+    [
+        ((4,), 2),
+        ((0,), 2),
+        ((2, 2), 4),
+        ((1, 2), 2),  # a 2x2 matrix on two qubits
+        ((), 1),
+    ],
+    ids=["qubits0", "qubits1", "qubits2", "matrix-too-small", "no-qubits"],
 )
 def test_conjugate_sum_rejects_gate_qubits_outside_network(qubits, dim):
     s = PauliSum.from_terms(3, {"XIZ": 1.0})
