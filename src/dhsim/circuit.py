@@ -87,10 +87,20 @@ class ParamRef:
     name: str
     scale: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.scale):
+            raise ValueError(f"non-finite scale {self.scale!r} for symbol {self.name!r}")
+
     def resolve(self, binding: Mapping[str, float]) -> float:
         if self.name not in binding:
             raise BindingError(f"no value bound for symbol {self.name!r}")
-        return self.scale * float(binding[self.name])
+        value = float(binding[self.name])
+        angle = self.scale * value
+        if not math.isfinite(angle):
+            raise BindingError(
+                f"angle {self.render()} overflows for symbol {self.name!r} = {value!r}"
+            )
+        return angle
 
     def render(self) -> str:
         if self.scale == 1.0:
@@ -134,6 +144,8 @@ class Gate:
             if not isinstance(self.param, (ParamRef, float, int)):
                 raise ValueError(f"{self.kind} needs an angle or symbol reference")
             if isinstance(self.param, (float, int)):
+                if not math.isfinite(self.param):
+                    raise ValueError(f"{self.kind} angle must be finite, got {self.param!r}")
                 object.__setattr__(self, "param", float(self.param))
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
@@ -307,6 +319,8 @@ def _parse_param_arg(arg: str, params: set, lineno: int, col: int) -> ParamLike:
             scale = float(scale_str)
         except ValueError:
             raise ParseError(f"bad scale factor {scale_str!r}", lineno, col) from None
+        if not math.isfinite(scale):
+            raise ParseError(f"non-finite scale factor {scale_str!r}", lineno, col)
         if name not in params:
             raise ParseError(f"undeclared symbol {name}", lineno, col)
         return ParamRef(name, scale)
@@ -320,9 +334,12 @@ def _parse_param_arg(arg: str, params: set, lineno: int, col: int) -> ParamLike:
             raise ParseError(f"undeclared symbol {name}", lineno, col)
         return ParamRef(name, -1.0)
     try:
-        return float(arg)
+        angle = float(arg)
     except ValueError:
         raise ParseError(f"bad angle or symbol {arg!r}", lineno, col) from None
+    if not math.isfinite(angle):
+        raise ParseError(f"non-finite angle {arg!r}", lineno, col)
+    return angle
 
 
 def _parse_qubits(tokens: Sequence[str], n: int, arity: int, lineno: int, cols) -> tuple:

@@ -72,22 +72,6 @@ def letter_index(a: LetterLike) -> int:
     return a
 
 
-def mul_letters(a: LetterLike, b: LetterLike) -> tuple[complex, int]:
-    """Multiply two single-qubit Pauli letters.
-
-    Returns ``(phase, letter)`` with phase in {1, -1, 1j, -1j} such that
-    ``phase * SIGMA[letter]`` equals ``SIGMA[a] @ SIGMA[b]``.  Total
-    function: identity absorbs, equal letters square to I, distinct
-    non-identity letters produce the third with a factor of +-i.
-    """
-    ia, ib = letter_index(a), letter_index(b)
-    x1, z1 = _XBIT[ia], _ZBIT[ia]
-    x2, z2 = _XBIT[ib], _ZBIT[ib]
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    exponent = (x1 * z1 + x2 * z2 + 2 * (z1 & x2) - x3 * z3) % 4
-    return complex(_POWERS_OF_I[exponent]), _LETTER_FROM_BITS[(x3, z3)]
-
-
 @dataclass(frozen=True)
 class PauliString:
     """An n-fold tensor product of Pauli letters, without a coefficient."""
@@ -137,27 +121,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.label
-
-
-def _key_planes(key: int, n: int) -> tuple[int, int]:
-    mask = (1 << n) - 1
-    return key & mask, key >> n
-
-
-def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """Multiply two strings factor-wise; the phase makes the result exact."""
-    if p.n != q.n:
-        raise SizeMismatchError(f"string sizes differ: {p.n} vs {q.n}")
-    x1, z1 = _key_planes(p.key, p.n)
-    x2, z2 = _key_planes(q.key, q.n)
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    exponent = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        + 2 * (z1 & x2).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    return complex(_POWERS_OF_I[exponent]), PauliString(p.n, x3 | (z3 << p.n))
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:

@@ -78,11 +78,6 @@ def normalize_selection(selection: Mapping[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def pauli_expectation(s: PauliSum, rho0: InitialState) -> complex:
-    """<psi0| s |psi0> for any sum, Hermitian or not."""
-    return complex(_expectation_tensor([[s]], rho0, DENSE_QUBITS)[0])
-
-
 def expectation_of_product(
     state: NetworkState,
     selection: Mapping[int, int],
@@ -196,7 +191,8 @@ def _expectation_tensor(
     Returns a complex tensor with axes (f_k, ..., f_1): for lists
     [I, q_x, q_y, q_z] of ascending qubits, the coefficient-tensor
     convention of the dense converter.  Factors of different lists must
-    commute and be Hermitian, as components of distinct qubits are.
+    commute and be Hermitian, as components of distinct qubits are.  A
+    single list may hold any sums: the bra is then psi0 itself.
 
     Meet in the middle: the lower half of the lists, applied to psi0, is
     a bra block A; the rest but the last list a ket block B.  Each factor
@@ -264,25 +260,6 @@ def reduced_density(
     if subset[0] < 1 or subset[-1] > state.n:
         raise ValueError(f"subset {subset} outside 1..{state.n}")
     return _density(state, subset, rho0, DENSE_QUBITS)
-
-
-def local_expectation(
-    state: NetworkState,
-    qubit: int,
-    coeffs: Sequence[float],
-    rho0: Optional[InitialState] = None,
-) -> float:
-    """Expectation of A = A0*1 + A1*q_x + A2*q_y + A3*q_z on one qubit."""
-    if len(coeffs) != 4:
-        raise ValueError("need exactly four coefficients A0..A3")
-    rho0 = rho0 or InitialState.standard()
-    total = float(coeffs[0])
-    for m in (1, 2, 3):
-        if coeffs[m] != 0.0:
-            total += float(coeffs[m]) * expectation_of_product(
-                state, {qubit: m}, rho0
-            )
-    return total
 
 
 # -- gauge freedom ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test utilities: an independent unitary-embedding oracle, a
-per-pair rewrite-table oracle, a deterministic random-circuit generator
-for cross-validation corpora, and a runner for code in a child process
-under an address-space cap."""
+scalar Pauli-product oracle, a per-pair rewrite-table oracle, a
+deterministic random-circuit generator for cross-validation corpora,
+and a runner for code in a child process under an address-space cap."""
 import itertools
 import os
 import subprocess
@@ -13,7 +13,17 @@ import numpy as np
 import dhsim
 from dhsim.circuit import Circuit, Gate, ParamRef
 from dhsim.descriptors import _SNAP_EPS, _SNAP_TARGETS
-from dhsim.pauli import SIGMA
+from dhsim.errors import SizeMismatchError
+from dhsim.pauli import (
+    _LETTER_FROM_BITS,
+    _POWERS_OF_I,
+    _XBIT,
+    _ZBIT,
+    SIGMA,
+    LetterLike,
+    PauliString,
+    letter_index,
+)
 
 CORPUS_GATESET = ("H", "S", "X", "Y", "Z", "CNOT", "CZ", "RY", "RZ", "PHASE")
 
@@ -38,6 +48,44 @@ def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
                 row = (row & ~(1 << (q - 1))) | (bit << (q - 1))
             full[row, col] += u[loc_out, loc]
     return full
+
+
+def mul_letters(a: LetterLike, b: LetterLike) -> tuple[complex, int]:
+    """Multiply two single-qubit Pauli letters.
+
+    Returns ``(phase, letter)`` with phase in {1, -1, 1j, -1j} such that
+    ``phase * SIGMA[letter]`` equals ``SIGMA[a] @ SIGMA[b]``.  Total
+    function: identity absorbs, equal letters square to I, distinct
+    non-identity letters produce the third with a factor of +-i.
+    """
+    ia, ib = letter_index(a), letter_index(b)
+    x1, z1 = _XBIT[ia], _ZBIT[ia]
+    x2, z2 = _XBIT[ib], _ZBIT[ib]
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    exponent = (x1 * z1 + x2 * z2 + 2 * (z1 & x2) - x3 * z3) % 4
+    return complex(_POWERS_OF_I[exponent]), _LETTER_FROM_BITS[(x3, z3)]
+
+
+def _key_planes(key: int, n: int) -> tuple[int, int]:
+    mask = (1 << n) - 1
+    return key & mask, key >> n
+
+
+def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
+    """Multiply two strings one Python integer at a time; the phase makes
+    the result exact.  The scalar oracle for the vectorised `sum_mul`."""
+    if p.n != q.n:
+        raise SizeMismatchError(f"string sizes differ: {p.n} vs {q.n}")
+    x1, z1 = _key_planes(p.key, p.n)
+    x2, z2 = _key_planes(q.key, q.n)
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    exponent = (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count()
+        - (x3 & z3).bit_count()
+    ) % 4
+    return complex(_POWERS_OF_I[exponent]), PauliString(p.n, x3 | (z3 << p.n))
 
 
 def naive_rewrite_entries(u: np.ndarray, arity: int) -> dict:

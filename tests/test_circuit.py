@@ -110,6 +110,22 @@ def test_parse_argument_arity_mismatches():
         parse("qubits 1\nparam a\nparam a")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("RX(1e400) 1", "non-finite angle '1e400'"),
+        ("RX(-1e400) 1", "non-finite angle '-1e400'"),
+        ("RX(+inf) 1", "non-finite angle '[+]inf'"),
+        ("RX(1e400*a) 1", "non-finite scale factor '1e400'"),
+        ("RX(nan*a) 1", "non-finite scale factor 'nan'"),
+    ],
+)
+def test_parse_rejects_non_finite_angle_with_location(line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(f"qubits 1\nparam a\nH 1\n  {line}")
+    assert (err.value.line, err.value.column) == (4, 3)
+
+
 # -- serialization --------------------------------------------------------------
 
 
@@ -190,6 +206,13 @@ def test_bind_missing_symbol_names_it():
 def test_bind_rejects_non_finite():
     with pytest.raises(BindingError, match="non-finite"):
         bind(build_teleportation(), {"theta": float("nan")})
+
+
+@pytest.mark.parametrize("scale, value", [(2.0, 1e308), (-2.0, 1e308), (1e300, 1e10)])
+def test_bind_rejects_overflowing_scaled_angle(scale, value):
+    c = Circuit(1, (Gate("RX", (1,), param=ParamRef("a", scale)),), ("a",))
+    with pytest.raises(BindingError, match="overflows for symbol 'a'"):
+        bind(c, {"a": value})
 
 
 def test_bind_matches_inlined_constants():
@@ -368,6 +391,18 @@ def test_gate_validation():
         Gate("RY", (1,))
     with pytest.raises(ValueError, match="unitary"):
         Gate("U1", (1,), matrix=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+def test_gate_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="RZ angle must be finite"):
+        Gate("RZ", (1,), param=angle)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_param_ref_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="non-finite scale .* for symbol 'a'"):
+        ParamRef("a", scale)
 
 
 def test_circuit_validation():

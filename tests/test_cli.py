@@ -82,6 +82,20 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_run_non_finite_angle_exit_codes(tmp_path, capsys):
+    # Both ended in "error: math domain error", exit 2.
+    literal = tmp_path / "literal.dh"
+    literal.write_text("qubits 1\nRX(1e400) 1\n")
+    code, out, err = run_cli(capsys, "run", str(literal))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2, column 1: non-finite angle '1e400'\n"
+    scaled = tmp_path / "scaled.dh"
+    scaled.write_text("qubits 1\nparam a\nRX(2*a) 1\n")
+    code, out, err = run_cli(capsys, "run", str(scaled), "--bind", "a=1e308")
+    assert (code, out) == (2, "")
+    assert err == "error: angle 2.0*a overflows for symbol 'a' = 1e+308\n"
+
+
 def test_run_missing_binding_exit_code(capsys):
     code, _, err = run_cli(capsys, "run", "--builtin", "teleport")
     assert code == 2

@@ -2,13 +2,15 @@
 
 The independent oracle throughout is dense matrix arithmetic on kron
 products of the four 2x2 Paulis, built here without touching the
-package's own conversion helpers.
+package's own conversion helpers.  The scalar product rules of
+`helpers` (`mul_letters`, `mul_strings`) are checked against it, and
+serve in turn as the term-by-term oracle for `sum_mul`.
 """
 import functools
 
 import numpy as np
 import pytest
-from helpers import run_capped
+from helpers import mul_letters, mul_strings, run_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +24,6 @@ from dhsim.pauli import (
     commutator,
     decompose,
     hs_inner,
-    mul_letters,
-    mul_strings,
     permute_qubits,
     sum_add,
     sum_mul,
@@ -188,6 +188,28 @@ def test_sum_ops_match_dense_oracle():
             assert np.allclose(dense_sum(sum_add(a, b)), dense_sum(a) + dense_sum(b))
             assert np.allclose(dense_sum(sum_mul(a, b)), dense_sum(a) @ dense_sum(b))
             assert np.allclose(dense_sum(sum_scale(a, 2.5j)), 2.5j * dense_sum(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sum_mul_matches_scalar_string_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        a, b = (
+            PauliSum(
+                n,
+                rng.integers(0, 4**n, size=size).astype(np.uint64),
+                rng.normal(size=size) + 1j * rng.normal(size=size),
+            )
+            for size in rng.integers(1, 40, size=2)
+        )
+        want: dict[int, complex] = {}
+        for ka, ca in zip(a.keys(), a.coeffs()):
+            for kb, cb in zip(b.keys(), b.coeffs()):
+                phase, prod = mul_strings(PauliString(n, int(ka)), PauliString(n, int(kb)))
+                want[prod.key] = want.get(prod.key, 0) + phase * ca * cb
+        got = sum_mul(a, b)
+        assert got.keys().tolist() == sorted(want)
+        assert np.allclose(got.coeffs(), [want[k] for k in sorted(want)], rtol=0, atol=1e-12)
 
 
 def test_sum_mul_size_mismatch():

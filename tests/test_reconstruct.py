@@ -26,8 +26,6 @@ from dhsim.reconstruct import (
     expectation_table,
     gauge_transform,
     global_density,
-    local_expectation,
-    pauli_expectation,
     reduced_density,
     selection_from_label,
 )
@@ -100,7 +98,7 @@ def test_pure_state_expectation_matches_dense():
     rho0 = InitialState.custom(StateVector(n, v))
     labels = ["XIZ", "YYI", "IIZ", "ZXY"]
     s = PauliSum.from_terms(n, {l: complex(*rng.normal(size=2)) for l in labels})
-    got = pauli_expectation(s, rho0)
+    got = _expectation_tensor([[s]], rho0, DENSE_QUBITS).item()
     want = v.conj() @ to_dense(s) @ v
     assert got == pytest.approx(complex(want), abs=1e-12)
 
@@ -114,7 +112,8 @@ def test_pure_state_expectation_across_term_blocks():
     assert s.num_terms > 256
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
-    got = pauli_expectation(s, InitialState.custom(StateVector(n, v)))
+    rho0 = InitialState.custom(StateVector(n, v))
+    got = _expectation_tensor([[s]], rho0, DENSE_QUBITS).item()
     want = v.conj() @ to_dense(s) @ v
     assert abs(got - want) < 1e-10
 
@@ -389,28 +388,6 @@ def test_reduced_density_rejects_bad_subsets():
         reduced_density(state, [])
     with pytest.raises(ValueError):
         reduced_density(state, [5])
-
-
-# -- local expectations ------------------------------------------------------------
-
-
-def test_local_expectation_known_cases():
-    state = evolve(bind(parse("qubits 1\n")))
-    assert local_expectation(state, 1, [0, 0, 0, 1]) == pytest.approx(1.0)
-    assert local_expectation(state, 1, [1, 0, 0, 0]) == pytest.approx(1.0)
-
-
-def test_local_expectation_matches_reduced_density():
-    rng = np.random.default_rng(47)
-    c, binding = random_circuit(rng, n=3, depth=12)
-    state = evolve(bind(c, binding))
-    sigma = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
-    for q in (1, 2, 3):
-        coeffs = [float(rng.normal()) for _ in range(4)]
-        got = local_expectation(state, q, coeffs)
-        a_dense = sum(c_ * s_ for c_, s_ in zip(coeffs, sigma))
-        rho_q = reduced_density(state, [q])
-        assert got == pytest.approx(float(np.real(np.trace(a_dense @ rho_q.entries))), abs=1e-10)
 
 
 # -- gauge freedom -------------------------------------------------------------------
