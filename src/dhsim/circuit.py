@@ -11,7 +11,8 @@ Conventions, stated once:
   are ``theta``, ``-theta`` and ``2*theta``.  A numeric literal such as
   ``RY(0.5)`` is a constant angle and involves no symbol.
 
-The text grammar is one statement per line, ``#`` starts a comment:
+The text grammar is one statement per line, ``#`` starts a comment, and
+spaces may stand inside a gate's parentheses:
 
     qubits <n>
     param <symbol>
@@ -46,16 +47,22 @@ FIXED_1Q = {
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
 }
 FIXED_2Q = {
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
+    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
-PARAMETRIC = {"PHASE", "RX", "RY", "RZ"}
-MATRIX_KINDS = {"U1": 1, "U2": 2}
-
 for _m in (*FIXED_1Q.values(), *FIXED_2Q.values()):
     _m.setflags(write=False)
+
+# The gate table: kind -> (arity, argument), the argument being None,
+# ANGLE or MATRIX.  Everything that checks, binds or writes a gate reads it.
+ANGLE, MATRIX = "angle", "matrix"
+GATE_KINDS = {
+    **{kind: (1, None) for kind in FIXED_1Q},
+    **{kind: (2, None) for kind in FIXED_2Q},
+    **{kind: (1, ANGLE) for kind in ("PHASE", "RX", "RY", "RZ")},
+    "U1": (1, MATRIX),
+    "U2": (2, MATRIX),
+}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -124,23 +131,16 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.kind in FIXED_1Q:
-            arity, wants_param, wants_matrix = 1, False, False
-        elif self.kind in FIXED_2Q:
-            arity, wants_param, wants_matrix = 2, False, False
-        elif self.kind in PARAMETRIC:
-            arity, wants_param, wants_matrix = 1, True, False
-        elif self.kind in MATRIX_KINDS:
-            arity, wants_param, wants_matrix = MATRIX_KINDS[self.kind], False, True
-        else:
+        if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        arity, argument = GATE_KINDS[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in {self.kind} {self.qubits}")
         if any(q < 1 for q in self.qubits):
             raise ValueError("qubit indices are 1-based")
-        if wants_param:
+        if argument == ANGLE:
             if not isinstance(self.param, (ParamRef, float, int)):
                 raise ValueError(f"{self.kind} needs an angle or symbol reference")
             if isinstance(self.param, (float, int)):
@@ -148,15 +148,18 @@ class Gate:
                     raise ValueError(f"{self.kind} angle must be finite, got {self.param!r}")
                 object.__setattr__(self, "param", float(self.param))
         elif self.param is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
-        if wants_matrix:
+            raise ValueError(f"{self.kind} takes no argument")
+        if argument == MATRIX:
+            dim = 2**arity
             m = np.array(self.matrix, dtype=complex)
-            if m.shape != (2**arity, 2**arity) or not is_unitary(m):
-                raise ValueError(f"{self.kind} needs a unitary {2**arity}x{2**arity} matrix")
+            if m.shape != (dim, dim):
+                raise ValueError(f"{self.kind} needs a {dim}x{dim} matrix, got shape {m.shape}")
+            if not is_unitary(m):
+                raise ValueError(f"{self.kind} matrix is not unitary")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
-            raise ValueError(f"{self.kind} takes no matrix")
+            raise ValueError(f"{self.kind} takes no argument")
 
     @property
     def symbol(self) -> Optional[str]:
@@ -212,11 +215,7 @@ class Circuit:
     def __eq__(self, other):
         if not isinstance(other, Circuit):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.gates == other.gates
-            and self.params == other.params
-        )
+        return (self.n, self.gates, self.params) == (other.n, other.gates, other.params)
 
     def __hash__(self):
         return hash((self.n, self.gates, self.params))
@@ -273,14 +272,13 @@ class BoundCircuit:
 
 
 def gate_unitary(g: Gate, binding: Mapping[str, float]) -> np.ndarray:
-    if g.kind in FIXED_1Q:
-        return FIXED_1Q[g.kind]
-    if g.kind in FIXED_2Q:
-        return FIXED_2Q[g.kind]
-    if g.kind in PARAMETRIC:
+    argument = GATE_KINDS[g.kind][1]
+    if argument == MATRIX:
+        return g.matrix
+    if argument == ANGLE:
         angle = g.param.resolve(binding) if isinstance(g.param, ParamRef) else g.param
         return rotation_matrix(g.kind, angle)
-    return g.matrix
+    return FIXED_1Q[g.kind] if g.kind in FIXED_1Q else FIXED_2Q[g.kind]
 
 
 def bind(c: Circuit, binding: Optional[Mapping[str, float]] = None) -> BoundCircuit:
@@ -300,15 +298,17 @@ def bind(c: Circuit, binding: Optional[Mapping[str, float]] = None) -> BoundCirc
 
 # -- text format -------------------------------------------------------------
 
-
-def _parse_complex(tok: str, lineno: int, col: int) -> complex:
-    try:
-        return complex(tok)
-    except ValueError:
-        raise ParseError(f"bad complex literal {tok!r}", lineno, col) from None
+_TOKEN = re.compile(r"\S+")
+_GATE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\((.*?)\))?(?=\s|\Z)")
 
 
-def _parse_param_arg(arg: str, params: set, lineno: int, col: int) -> ParamLike:
+def _tokens(line: str, start: int = 0) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of ``line[start:]`` with 1-based columns."""
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line, start)]
+
+
+def _parse_angle(arg: str, params: Sequence[str], lineno: int, col: int) -> ParamLike:
+    """An angle literal or a ``symbol``, ``-symbol`` or ``scale*symbol`` reference."""
     arg = arg.strip()
     if "*" in arg:
         scale_str, _, name = arg.partition("*")
@@ -321,44 +321,69 @@ def _parse_param_arg(arg: str, params: set, lineno: int, col: int) -> ParamLike:
             raise ParseError(f"bad scale factor {scale_str!r}", lineno, col) from None
         if not math.isfinite(scale):
             raise ParseError(f"non-finite scale factor {scale_str!r}", lineno, col)
-        if name not in params:
-            raise ParseError(f"undeclared symbol {name}", lineno, col)
-        return ParamRef(name, scale)
-    if _IDENT.match(arg):
-        if arg not in params:
-            raise ParseError(f"undeclared symbol {arg}", lineno, col)
-        return ParamRef(arg)
-    if arg.startswith("-") and _IDENT.match(arg[1:]):
-        name = arg[1:]
-        if name not in params:
-            raise ParseError(f"undeclared symbol {name}", lineno, col)
-        return ParamRef(name, -1.0)
-    try:
-        angle = float(arg)
-    except ValueError:
-        raise ParseError(f"bad angle or symbol {arg!r}", lineno, col) from None
-    if not math.isfinite(angle):
-        raise ParseError(f"non-finite angle {arg!r}", lineno, col)
-    return angle
-
-
-def _parse_qubits(tokens: Sequence[str], n: int, arity: int, lineno: int, cols) -> tuple:
-    if len(tokens) != arity:
-        raise ParseError(
-            f"expected {arity} qubit index(es), got {len(tokens)}", lineno, cols[0]
-        )
-    out = []
-    for tok, col in zip(tokens, cols):
+    elif _IDENT.match(arg.removeprefix("-")):
+        name = arg.removeprefix("-")
+        scale = 1.0 if name == arg else -1.0
+    else:
         try:
-            q = int(tok)
+            angle = float(arg)
         except ValueError:
-            raise ParseError(f"bad qubit index {tok!r}", lineno, col) from None
-        if not 1 <= q <= n:
-            raise ParseError(f"qubit {q} out of range 1..{n}", lineno, col)
-        out.append(q)
-    if len(set(out)) != len(out):
-        raise ParseError(f"duplicate qubit in gate: {out}", lineno, cols[0])
-    return tuple(out)
+            raise ParseError(f"bad angle or symbol {arg!r}", lineno, col) from None
+        if not math.isfinite(angle):
+            raise ParseError(f"non-finite angle {arg!r}", lineno, col)
+        return angle
+    if name not in params:
+        raise ParseError(f"undeclared symbol {name}", lineno, col)
+    return ParamRef(name, scale)
+
+
+def _parse_matrix(kind: str, arg: str, lineno: int, col: int) -> np.ndarray:
+    """Row-major complex entries, as many as the kind's arity asks for."""
+    dim = 2 ** GATE_KINDS[kind][0]
+    entries = []
+    for tok in arg.split(","):
+        try:
+            entries.append(complex(tok))
+        except ValueError:
+            raise ParseError(f"bad complex literal {tok!r}", lineno, col) from None
+    if len(entries) != dim * dim:
+        raise ParseError(f"{kind} needs {dim*dim} entries, got {len(entries)}", lineno, col)
+    return np.array(entries, dtype=complex).reshape(dim, dim)
+
+
+def _parse_qubit(tok: str, n: int, lineno: int, col: int) -> int:
+    try:
+        q = int(tok)
+    except ValueError:
+        raise ParseError(f"bad qubit index {tok!r}", lineno, col) from None
+    if not 1 <= q <= n:
+        raise ParseError(f"qubit {q} out of range 1..{n}", lineno, col)
+    return q
+
+
+def _parse_gate(line: str, col: int, n: int, params: Sequence[str], lineno: int) -> Gate:
+    """The gate statement at `col`; errors raised by `Gate` point at its name."""
+    m = _GATE.match(line, col - 1)
+    if not m:
+        raise ParseError(f"bad gate token {line.split()[0]!r}", lineno, col)
+    kind, arg = m.group(1).upper(), m.group(2)
+    if kind not in GATE_KINDS:
+        raise ParseError(f"unknown gate {m.group(1)!r}", lineno, col)
+    param = matrix = None
+    if arg is not None:
+        arg_col = m.start(2) + len(arg) - len(arg.lstrip()) + 1
+        argument = GATE_KINDS[kind][1]
+        if argument == ANGLE:
+            param = _parse_angle(arg, params, lineno, arg_col)
+        elif argument == MATRIX:
+            matrix = _parse_matrix(kind, arg, lineno, arg_col)
+        else:
+            raise ParseError(f"{kind} takes no argument", lineno, col)
+    qubits = tuple(_parse_qubit(tok, n, lineno, c) for tok, c in _tokens(line, m.end()))
+    try:
+        return Gate(kind, qubits, param, matrix)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno, col) from None
 
 
 def parse(text: str) -> Circuit:
@@ -370,15 +395,8 @@ def parse(text: str) -> Circuit:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        tokens = line.split()
-        cols = []
-        pos = 0
-        for tok in tokens:
-            pos = line.index(tok, pos)
-            cols.append(pos + 1)
-            pos += len(tok)
-        head = tokens[0]
-        if head == "qubits":
+        tokens, cols = zip(*_tokens(line))
+        if tokens[0] == "qubits":
             if n is not None:
                 raise ParseError("duplicate qubits declaration", lineno, cols[0])
             if len(tokens) != 2:
@@ -389,53 +407,16 @@ def parse(text: str) -> Circuit:
                 raise ParseError(f"bad qubit count {tokens[1]!r}", lineno, cols[1]) from None
             if n < 1:
                 raise ParseError("qubit count must be positive", lineno, cols[1])
-            continue
-        if n is None:
+        elif n is None:
             raise ParseError("first statement must be 'qubits <n>'", lineno, cols[0])
-        if head == "param":
+        elif tokens[0] == "param":
             if len(tokens) != 2 or not _IDENT.match(tokens[1]):
                 raise ParseError("usage: param <symbol>", lineno, cols[0])
             if tokens[1] in params:
                 raise ParseError(f"duplicate param {tokens[1]}", lineno, cols[1])
             params.append(tokens[1])
-            continue
-        # gate statement
-        m = re.match(r"([A-Za-z][A-Za-z0-9]*)(?:\((.*)\))?\Z", head)
-        if not m:
-            raise ParseError(f"bad gate token {head!r}", lineno, cols[0])
-        kind, arg = m.group(1).upper(), m.group(2)
-        qubit_tokens, qubit_cols = tokens[1:], cols[1:]
-        if kind in FIXED_1Q or kind in FIXED_2Q:
-            if arg is not None:
-                raise ParseError(f"{kind} takes no argument", lineno, cols[0])
-            arity = 1 if kind in FIXED_1Q else 2
-            qubits = _parse_qubits(qubit_tokens, n, arity, lineno, qubit_cols or [cols[0]])
-            gates.append(Gate(kind, qubits))
-        elif kind in PARAMETRIC:
-            if arg is None:
-                raise ParseError(f"{kind} needs an angle or symbol", lineno, cols[0])
-            param = _parse_param_arg(arg, set(params), lineno, cols[0])
-            qubits = _parse_qubits(qubit_tokens, n, 1, lineno, qubit_cols or [cols[0]])
-            gates.append(Gate(kind, qubits, param=param))
-        elif kind in MATRIX_KINDS:
-            arity = MATRIX_KINDS[kind]
-            dim = 2**arity
-            if arg is None:
-                raise ParseError(f"{kind} needs {dim*dim} matrix entries", lineno, cols[0])
-            entries = [
-                _parse_complex(tok, lineno, cols[0]) for tok in arg.split(",")
-            ]
-            if len(entries) != dim * dim:
-                raise ParseError(
-                    f"{kind} needs {dim*dim} entries, got {len(entries)}", lineno, cols[0]
-                )
-            matrix = np.array(entries, dtype=complex).reshape(dim, dim)
-            if not is_unitary(matrix):
-                raise ParseError(f"{kind} matrix is not unitary", lineno, cols[0])
-            qubits = _parse_qubits(qubit_tokens, n, arity, lineno, qubit_cols or [cols[0]])
-            gates.append(Gate(kind, qubits, matrix=matrix))
         else:
-            raise ParseError(f"unknown gate {head!r}", lineno, cols[0])
+            gates.append(_parse_gate(line, cols[0], n, params, lineno))
     if n is None:
         raise ParseError("missing 'qubits <n>' declaration", 1, 1)
     return Circuit(n, tuple(gates), tuple(params))
@@ -450,15 +431,14 @@ def serialize(c: Circuit) -> str:
     lines = [f"qubits {c.n}"]
     lines.extend(f"param {s}" for s in c.params)
     for g in c.gates:
-        qubits = " ".join(str(q) for q in g.qubits)
-        if g.kind in PARAMETRIC:
-            arg = g.param.render() if isinstance(g.param, ParamRef) else repr(g.param)
-            lines.append(f"{g.kind}({arg}) {qubits}")
-        elif g.kind in MATRIX_KINDS:
-            entries = ",".join(_format_complex(v) for v in g.matrix.ravel())
-            lines.append(f"{g.kind}({entries}) {qubits}")
+        argument = GATE_KINDS[g.kind][1]
+        if argument == ANGLE:
+            arg = f"({g.param.render() if isinstance(g.param, ParamRef) else repr(g.param)})"
+        elif argument == MATRIX:
+            arg = f"({','.join(_format_complex(v) for v in g.matrix.ravel())})"
         else:
-            lines.append(f"{g.kind} {qubits}")
+            arg = ""
+        lines.append(f"{g.kind}{arg} {' '.join(map(str, g.qubits))}")
     return "\n".join(lines) + "\n"
 
 
@@ -479,15 +459,15 @@ def circuit_to_json(c: Circuit) -> dict:
 def circuit_from_json(obj: dict) -> Circuit:
     gates = []
     for entry in obj["gates"]:
-        param = entry.get("param")
+        kind, param, matrix = entry["kind"], entry.get("param"), entry.get("matrix")
         if isinstance(param, dict):
             param = ParamRef(param["name"], float(param["scale"]))
-        matrix = entry.get("matrix")
         if matrix is not None:
+            # Row-major pairs; a count that does not fit the kind is left to `Gate`.
             flat = np.array([complex(re_, im_) for re_, im_ in matrix])
-            dim = int(math.isqrt(len(flat)))
-            matrix = flat.reshape(dim, dim)
-        gates.append(Gate(entry["kind"], tuple(entry["qubits"]), param, matrix))
+            dim = 2 ** GATE_KINDS.get(kind, (0, None))[0]
+            matrix = flat.reshape(dim, dim) if flat.size == dim * dim else flat
+        gates.append(Gate(kind, tuple(entry["qubits"]), param, matrix))
     return Circuit(int(obj["qubits"]), tuple(gates), tuple(obj["params"]))
 
 

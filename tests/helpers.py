@@ -132,6 +132,13 @@ def circuit_unitary(bound_circuit, upto=None) -> np.ndarray:
     return u
 
 
+def random_haar(rng, dim: int) -> np.ndarray:
+    """A Haar-random dim x dim unitary."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_circuit(
     rng,
     n=None,

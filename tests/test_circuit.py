@@ -4,12 +4,17 @@ Protocol semantics are checked through the state-vector simulator; the
 expected numbers below were frozen from that oracle (or are
 hand-checkable, e.g. Bell-pair amplitudes).
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from helpers import random_haar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhsim.circuit import (
+    GATE_KINDS,
     Circuit,
     Gate,
     ParamRef,
@@ -20,6 +25,7 @@ from dhsim.circuit import (
     build_teleportation,
     circuit_from_json,
     circuit_to_json,
+    is_unitary,
     measurement_gadget,
     parse,
     rotation_matrix,
@@ -102,7 +108,7 @@ def test_parse_argument_arity_mismatches():
         parse("qubits 1\nH(0.5) 1")
     with pytest.raises(ParseError, match="needs an angle"):
         parse("qubits 1\nRY 1")
-    with pytest.raises(ParseError, match="expected 2 qubit"):
+    with pytest.raises(ParseError, match="takes 2 qubit"):
         parse("qubits 2\nCNOT 1")
     with pytest.raises(ParseError, match="duplicate qubits"):
         parse("qubits 1\nqubits 1")
@@ -123,7 +129,43 @@ def test_parse_argument_arity_mismatches():
 def test_parse_rejects_non_finite_angle_with_location(line, message):
     with pytest.raises(ParseError, match=message) as err:
         parse(f"qubits 1\nparam a\nH 1\n  {line}")
-    assert (err.value.line, err.value.column) == (4, 3)
+    assert (err.value.line, err.value.column) == (4, 6)
+
+
+@pytest.mark.parametrize(
+    "line, message, column",
+    [
+        ("RX(2*b) 1", "undeclared symbol b", 4),
+        ("RX(-b) 1", "undeclared symbol b", 4),
+        ("RX(2*1a) 1", "bad symbol name '1a'", 4),
+        ("RX(x2*a) 1", "bad scale factor 'x2'", 4),
+        ("PHASE(0.3.1) 1", "bad angle or symbol '0.3.1'", 7),
+        ("RX(  2*b) 1", "undeclared symbol b", 6),
+        ("U1(0,1,1,z) 1", "bad complex literal 'z'", 4),
+        ("U1(0,1,1) 1", "U1 needs 4 entries, got 3", 4),
+        ("H 1 x", "bad qubit index 'x'", 5),
+        ("CNOT 1 3", "qubit 3 out of range 1..2", 8),
+        ("CNOT 1", "CNOT takes 2 qubit", 1),
+    ],
+)
+def test_parse_errors_point_at_the_offending_token(line, message, column):
+    # Argument errors point where the argument starts, not at the gate name.
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse(f"qubits 2\nparam a\n{line}")
+    assert (err.value.line, err.value.column) == (3, column)
+
+
+@pytest.mark.parametrize(
+    "spaced, compact, written",
+    [
+        ("U1(0, 1, 1, 0) 1", "U1(0,1,1,0) 1", "U1(0j,1+0j,1+0j,0j) 1"),
+        ("RX(2 * a) 1", "RX(2*a) 1", "RX(2.0*a) 1"),
+    ],
+)
+def test_parse_allows_whitespace_inside_parentheses(spaced, compact, written):
+    c = parse(f"qubits 1\nparam a\n{spaced}")
+    assert c == parse(f"qubits 1\nparam a\n{compact}")
+    assert serialize(c).splitlines()[-1] == written
 
 
 # -- serialization --------------------------------------------------------------
@@ -152,6 +194,47 @@ def test_round_trip_matrix_gates():
     again = parse(serialize(c))
     assert again == c
     assert circuit_from_json(circuit_to_json(c)).gates[0].matrix == pytest.approx(u)
+
+
+def test_circuit_from_json_rejects_a_matrix_of_the_wrong_size():
+    obj = circuit_to_json(Circuit(1, (Gate("U1", (1,), matrix=np.eye(2)),)))
+    obj["gates"][0]["matrix"].pop()
+    with pytest.raises(ValueError, match="U1 needs a 2x2 matrix, got shape"):
+        circuit_from_json(obj)
+
+
+def gates_of_kind(kind, rng):
+    """Gates of one kind: a literal and each reference form for rotations."""
+    arity, argument = GATE_KINDS[kind]
+    qubits = (3, 1)[:arity]
+    if argument == "angle":
+        params = (0.7, ParamRef("a"), ParamRef("a", -1.0), ParamRef("a", 2.5))
+        return [Gate(kind, qubits, param=p) for p in params]
+    if argument == "matrix":
+        return [Gate(kind, qubits, matrix=random_haar(rng, 2**arity))]
+    return [Gate(kind, qubits)]
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_every_gate_kind_round_trips_and_binds(kind):
+    c = Circuit(3, tuple(gates_of_kind(kind, np.random.default_rng(11))), ("a",))
+    assert parse(serialize(c)) == c
+    assert circuit_from_json(circuit_to_json(c)) == c
+    dim = 2 ** GATE_KINDS[kind][0]
+    for g in bind(c, {"a": 0.3}).gates:
+        assert g.matrix.shape == (dim, dim) and is_unitary(g.matrix)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_circuit_format_matches_the_gate_table():
+    section = README.read_text().split("\n## Circuit format\n", 1)[1].split("\n## ", 1)[0]
+    gate_list = section.split("Gates:", 1)[1].split(".", 1)[0]
+    kinds = re.findall(r"[A-Z][A-Z0-9]*", " ".join(re.findall(r"`([^`]*)`", gate_list)))
+    assert sorted(kinds) == sorted(GATE_KINDS)
+    example = section.split("```\n", 2)[1]
+    assert parse(example).n == 5
 
 
 def random_circuit_text(rng):

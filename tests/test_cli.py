@@ -88,7 +88,7 @@ def test_run_non_finite_angle_exit_codes(tmp_path, capsys):
     literal.write_text("qubits 1\nRX(1e400) 1\n")
     code, out, err = run_cli(capsys, "run", str(literal))
     assert (code, out) == (1, "")
-    assert err == "error: line 2, column 1: non-finite angle '1e400'\n"
+    assert err == "error: line 2, column 4: non-finite angle '1e400'\n"
     scaled = tmp_path / "scaled.dh"
     scaled.write_text("qubits 1\nparam a\nRX(2*a) 1\n")
     code, out, err = run_cli(capsys, "run", str(scaled), "--bind", "a=1e308")

@@ -6,7 +6,14 @@ expectation identities.
 """
 import numpy as np
 import pytest
-from helpers import circuit_unitary, embed, naive_rewrite_entries, random_circuit, run_capped
+from helpers import (
+    circuit_unitary,
+    embed,
+    naive_rewrite_entries,
+    random_circuit,
+    random_haar,
+    run_capped,
+)
 
 from dhsim import descriptors, pauli
 from dhsim.circuit import (
@@ -256,12 +263,6 @@ def test_backends_agree_on_random_circuits():
         b = evolve(bc, backend="dense")
         for q in range(1, c.n + 1):
             assert descriptor_gap(a.descriptor(q), b.descriptor(q)) < 1e-10
-
-
-def random_haar(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(raw)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_backends_agree_with_matrix_gates():
