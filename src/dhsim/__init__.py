@@ -59,7 +59,6 @@ from .infoflow import (
 )
 from .pauli import PauliString, PauliSum, decompose, hs_inner, to_dense
 from .reconstruct import (
-    InitialState,
     expectation_of_product,
     expectation_table,
     gauge_transform,

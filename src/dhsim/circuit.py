@@ -151,6 +151,8 @@ class Gate:
             raise ValueError(f"{self.kind} takes no argument")
         if argument == MATRIX:
             dim = 2**arity
+            if self.matrix is None:
+                raise ValueError(f"{self.kind} needs a {dim}x{dim} matrix, got none")
             m = np.array(self.matrix, dtype=complex)
             if m.shape != (dim, dim):
                 raise ValueError(f"{self.kind} needs a {dim}x{dim} matrix, got shape {m.shape}")

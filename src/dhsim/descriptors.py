@@ -41,7 +41,6 @@ from .config import DENSE_QUBITS, MAX_NETWORK_QUBITS, TERM_BUDGET
 from .errors import BudgetError, InvariantError
 from .pauli import (
     SIGMA,
-    PauliString,
     PauliSum,
     _keys,
     _letters,
@@ -110,25 +109,16 @@ class NetworkState:
         }
 
 
-def single_string_sum(n: int, qubit: int, m: int) -> PauliSum:
-    letters = [0] * n
-    letters[qubit - 1] = m
-    return PauliSum.from_string(PauliString.from_letters(letters))
-
-
 def init_network(n: int) -> NetworkState:
     """Fresh network: each component is one unnormalized string of weight 1."""
     if n < 1:
         raise ValueError("need at least one qubit")
     if n > MAX_NETWORK_QUBITS:
         raise BudgetError(f"network of {n} qubits exceeds the maximum of {MAX_NETWORK_QUBITS}")
+    # Row 3(q-1) + m-1 holds letter m on qubit q and I elsewhere.
+    keys = _keys(n, np.kron(np.eye(n, dtype=np.int64), [[1], [2], [3]])).reshape(n, 3)
     descriptors = tuple(
-        Descriptor(
-            q,
-            single_string_sum(n, q, 1),
-            single_string_sum(n, q, 2),
-            single_string_sum(n, q, 3),
-        )
+        Descriptor(q, *(PauliSum(n, [key], [1.0]) for key in keys[q - 1]))
         for q in range(1, n + 1)
     )
     return NetworkState(n, 0, descriptors)
@@ -433,17 +423,12 @@ def gamma_product(state: NetworkState, selection: Sequence[int]) -> PauliSum:
     """
     if len(selection) != state.n:
         raise ValueError(f"selection needs {state.n} entries")
-    product = component_product(state, dict(enumerate(selection, start=1)))
-    return sum_scale(product, 2 ** (-state.n / 2))
-
-
-def component_product(state: NetworkState, selection: dict) -> PauliSum:
-    """Product over ``{qubit: m}`` entries in qubit order, unscaled (m = 0 is I)."""
-    return reduce(
+    product = reduce(
         sum_mul,
-        (state.descriptor(q).component(m) for q, m in sorted(selection.items()) if m),
+        (state.descriptor(q).component(m) for q, m in enumerate(selection, start=1) if m),
         PauliSum.identity(state.n),
     )
+    return sum_scale(product, 2 ** (-state.n / 2))
 
 
 # -- consistency checks -----------------------------------------------------------

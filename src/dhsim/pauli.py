@@ -15,9 +15,9 @@ A string is encoded as a single integer with two bit planes:
     bits 0 .. n-1       X plane (bit k-1 set iff qubit k carries X or Y)
     bits n .. 2n-1      Z plane (bit k-1+n set iff qubit k carries Y or Z)
 
-so qubit k's letter is ``m = 2z + (x^z)``: I=0, X=1, Y=2, Z=3.  Array
+so qubit k's letter is ``m = 2z + (x^z)``: I=0, X=1, Y=2, Z=3.  All
 code converts between keys and letters only through `_letters` and
-`_keys`.
+`_keys`, one string or a whole array at a time.
 
 Qubits are numbered 1..n and qubit 1 is the first character of a label
 such as ``"XIZ"``.  The sign bookkeeping uses the identity
@@ -53,10 +53,6 @@ SIGMA = np.array(
 
 _POWERS_OF_I = np.array([1, 1j, -1, -1j], dtype=complex)
 
-_XBIT = (0, 1, 1, 0)
-_ZBIT = (0, 0, 1, 1)
-_LETTER_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
-
 LetterLike = Union[int, str]
 
 
@@ -82,6 +78,8 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
+        if 2 * self.n > 63:
+            raise ValueError(f"qubit count {self.n} exceeds the 63-bit key encoding")
         if not 0 <= self.key < (1 << (2 * self.n)):
             raise ValueError("key out of range for this qubit count")
 
@@ -94,30 +92,19 @@ class PauliString:
         ms = [letter_index(a) for a in letters]
         if not ms:
             raise ValueError("empty letter sequence")
-        key = 0
-        n = len(ms)
-        for k, m in enumerate(ms):
-            key |= _XBIT[m] << k
-            key |= _ZBIT[m] << (n + k)
-        return cls(n, key)
+        return cls(len(ms), int(_keys(len(ms), np.array([ms]))[0]))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0)
 
-    def letter(self, qubit: int) -> int:
-        """Letter index on 1-based `qubit`."""
-        x = (self.key >> (qubit - 1)) & 1
-        z = (self.key >> (self.n + qubit - 1)) & 1
-        return _LETTER_FROM_BITS[(x, z)]
-
     @property
     def letters(self) -> tuple[int, ...]:
-        return tuple(self.letter(q) for q in range(1, self.n + 1))
+        return tuple(_letters(self.n, np.array([self.key], dtype=np.uint64))[0].tolist())
 
     @property
     def label(self) -> str:
-        return "".join(LETTERS[m] for m in self.letters)
+        return _labels(self.n, np.array([self.key], dtype=np.uint64))[0]
 
     def __str__(self) -> str:
         return self.label
@@ -194,10 +181,7 @@ class PauliSum:
         return self._coeffs.copy()
 
     def terms(self) -> dict[str, complex]:
-        return {
-            PauliString(self.n, int(k)).label: complex(c)
-            for k, c in zip(self._keys, self._coeffs)
-        }
+        return dict(zip(_labels(self.n, self._keys), self._coeffs.tolist()))
 
     def coeff(self, string: Union[str, PauliString]) -> complex:
         if isinstance(string, str):
@@ -242,8 +226,8 @@ class PauliSum:
         if self.num_terms == 0:
             return f"PauliSum(n={self.n}, 0)"
         parts = [
-            f"({c:.6g})*{PauliString(self.n, int(k)).label}"
-            for k, c in zip(self._keys[:6], self._coeffs[:6])
+            f"({c:.6g})*{label}"
+            for label, c in zip(_labels(self.n, self._keys[:6]), self._coeffs[:6])
         ]
         if self.num_terms > 6:
             parts.append(f"... [{self.num_terms} terms]")
@@ -274,12 +258,8 @@ class PauliSum:
         return {
             "n": self.n,
             "terms": [
-                {
-                    "string": PauliString(self.n, int(k)).label,
-                    "re": float(c.real),
-                    "im": float(c.imag),
-                }
-                for k, c in zip(self._keys, self._coeffs)
+                {"string": label, "re": c.real, "im": c.imag}
+                for label, c in zip(_labels(self.n, self._keys), self._coeffs.tolist())
             ],
         }
 
@@ -483,6 +463,13 @@ def _keys(n: int, letters: np.ndarray) -> np.ndarray:
     z = letters >> 1
     bits = 1 << np.arange(n)
     return ((((letters ^ z) & 1) @ bits) | ((z @ bits) << n)).astype(np.uint64)
+
+
+def _labels(n: int, keys: np.ndarray) -> list[str]:
+    """Label of each string, qubit 1 first."""
+    # A C-ordered (terms, n) array of 1-character strings reads as one
+    # n-character string per row.
+    return np.array(list(LETTERS))[_letters(n, keys)].view(f"U{n}").ravel().tolist()
 
 
 def _coeff_tensor_to_dense(tensor: np.ndarray) -> np.ndarray:

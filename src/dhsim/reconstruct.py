@@ -1,8 +1,9 @@
 """Expectations and density matrices reconstructed from descriptors.
 
 Everything here reads only the evolved descriptor triples and the fixed
-initial state; the state-vector simulator is never consulted.  The
-density of the full network is
+initial state ``rho0``, a `StateVector` or None for |0...0>; the
+state-vector simulator is never consulted.  The density of the full
+network is
 
     rho(t) = 2**-n * sum over selections <prod_i q_{i,m_i}(t)>  prod_i sigma_{m_i}
 
@@ -15,7 +16,6 @@ reach.  Budgets count the entries of those blocks, not qubits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Mapping, Optional, Sequence
 
@@ -24,45 +24,10 @@ import numpy as np
 from .config import DENSE_QUBITS
 from .descriptors import NetworkState, conjugate_sum
 from .errors import BudgetError, GaugeError, InvariantError
-from .pauli import PauliSum, _coeff_tensor_to_dense, _string_action
+from .pauli import PauliString, PauliSum, _coeff_tensor_to_dense, _string_action
 from .statevector import DensityMatrix, StateVector
 
 _REAL_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class InitialState:
-    """The fixed state expectations are taken against.
-
-    ``standard`` is |0...0>; a custom pure state carries its vector.
-    """
-
-    kind: str
-    vector: Optional[StateVector] = None
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "custom"):
-            raise ValueError(f"unknown initial-state kind {self.kind!r}")
-        if (self.kind == "custom") != (self.vector is not None):
-            raise ValueError("custom states carry a vector; standard does not")
-
-    @classmethod
-    def standard(cls) -> "InitialState":
-        return cls("standard")
-
-    @classmethod
-    def custom(cls, vector: StateVector) -> "InitialState":
-        return cls("custom", vector)
-
-    def block(self, n: int):
-        """The state as a one-column block on its nonzero amplitudes."""
-        if self.kind == "standard":
-            return np.zeros(1, dtype=np.uint64), np.ones((1, 1), dtype=np.complex128)
-        if self.vector.n != n:
-            raise ValueError(f"initial state has {self.vector.n} qubits, need {n}")
-        amps = np.asarray(self.vector.amplitudes)
-        support = np.flatnonzero(amps)
-        return support.astype(np.uint64), amps[support, None]
 
 
 def normalize_selection(selection: Mapping[int, int], n: int) -> dict[int, int]:
@@ -81,10 +46,9 @@ def normalize_selection(selection: Mapping[int, int], n: int) -> dict[int, int]:
 def expectation_of_product(
     state: NetworkState,
     selection: Mapping[int, int],
-    rho0: Optional[InitialState] = None,
+    rho0: Optional[StateVector] = None,
 ) -> float:
     """<rho0| prod_{i in sel} q_{i,m_i}(t) |rho0>: one column per block."""
-    rho0 = rho0 or InitialState.standard()
     sel = normalize_selection(selection, state.n)
     factors = [[state.descriptor(q).component(m)] for q, m in sorted(sel.items())]
     factors = factors or [[PauliSum.identity(state.n)]]
@@ -98,20 +62,14 @@ def selection_from_label(label: str, n: int) -> dict[int, int]:
     """Parse a selection string like "ZZI" (qubit 1 first, I = omit)."""
     if len(label) != n:
         raise ValueError(f"selection string needs {n} letters, got {label!r}")
-    letters = "IXYZ"
-    out = {}
-    for qubit, ch in enumerate(label.upper(), start=1):
-        if ch not in letters:
-            raise ValueError(f"bad selection letter {ch!r} in {label!r}")
-        if ch != "I":
-            out[qubit] = letters.index(ch)
-    return out
+    letters = PauliString.from_label(label).letters
+    return {qubit: m for qubit, m in enumerate(letters, start=1) if m}
 
 
 def expectation_table(
     state: NetworkState,
     selections,
-    rho0: Optional[InitialState] = None,
+    rho0: Optional[StateVector] = None,
 ) -> dict[str, float]:
     """Map selection strings ("ZZI...") to their product expectations."""
     return {
@@ -124,6 +82,20 @@ def expectation_table(
 #
 # A block (support, matrix) holds the vectors sum_r matrix[r, j] |support[r]>,
 # one per column j, on a sorted uint64 array of basis states.
+
+
+def _initial_block(rho0: Optional[StateVector], n: int):
+    """The initial state as a one-column block on its nonzero amplitudes.
+
+    None, |0...0>, is one entry at any n: no 2**n vector is built.
+    """
+    if rho0 is None:
+        return np.zeros(1, dtype=np.uint64), np.ones((1, 1), dtype=np.complex128)
+    if rho0.n != n:
+        raise ValueError(f"initial state has {rho0.n} qubits, need {n}")
+    amps = np.asarray(rho0.amplitudes)
+    support = np.flatnonzero(amps)
+    return support.astype(np.uint64), amps[support, None]
 
 
 def _check_entries(rows: int, cols: int, limit: int):
@@ -184,7 +156,7 @@ def _apply(block, sums: Sequence[PauliSum], limit: int):
 
 
 def _expectation_tensor(
-    factors: Sequence[Sequence[PauliSum]], rho0: InitialState, limit: int
+    factors: Sequence[Sequence[PauliSum]], rho0: Optional[StateVector], limit: int
 ) -> np.ndarray:
     """<psi0| f_1 f_2 ... f_k |psi0> for every choice of f_i in factors[i].
 
@@ -202,7 +174,7 @@ def _expectation_tensor(
     """
     half = len(factors) // 2
     *upper, top = factors[half:]
-    apply, start = partial(_apply, limit=limit), rho0.block(factors[0][0].n)
+    apply, start = partial(_apply, limit=limit), _initial_block(rho0, factors[0][0].n)
     bra_support, bra = reduce(apply, factors[:half], start)
     ket_support, ket = reduce(apply, upper, start)
     bra = bra.conj()
@@ -213,7 +185,7 @@ def _expectation_tensor(
 
 
 def _density(
-    state: NetworkState, qubits: Sequence[int], rho0: Optional[InitialState], limit: int
+    state: NetworkState, qubits: Sequence[int], rho0: Optional[StateVector], limit: int
 ) -> DensityMatrix:
     """Density over `qubits` (sorted), little-endian in that order."""
     k = len(qubits)
@@ -221,7 +193,7 @@ def _density(
         raise BudgetError(f"density of {k} qubits exceeds the budget of {limit}")
     identity = PauliSum.identity(state.n)
     factors = [[identity, *state.descriptor(q).components] for q in qubits]
-    values = _expectation_tensor(factors, rho0 or InitialState.standard(), limit)
+    values = _expectation_tensor(factors, rho0, limit)
     if np.max(np.abs(values.imag)) > _REAL_ATOL:
         raise InvariantError("selection expectations are not real")
     dense = _coeff_tensor_to_dense(values.real.astype(np.complex128)) / 2**k
@@ -230,7 +202,7 @@ def _density(
 
 def global_density(
     state: NetworkState,
-    rho0: Optional[InitialState] = None,
+    rho0: Optional[StateVector] = None,
     *,
     dense_budget: Optional[int] = None,
 ) -> DensityMatrix:
@@ -247,7 +219,7 @@ def global_density(
 def reduced_density(
     state: NetworkState,
     subset: Sequence[int],
-    rho0: Optional[InitialState] = None,
+    rho0: Optional[StateVector] = None,
 ) -> DensityMatrix:
     """Reduced density over `subset`, little-endian in the sorted subset.
 

@@ -1,7 +1,8 @@
 """Shared test utilities: an independent unitary-embedding oracle, a
-scalar Pauli-product oracle, a per-pair rewrite-table oracle, a
-deterministic random-circuit generator for cross-validation corpora,
-and a runner for code in a child process under an address-space cap."""
+scalar Pauli-product and key/label oracle with its own letter tables, a
+per-pair rewrite-table oracle, a deterministic random-circuit generator
+for cross-validation corpora, and a runner for code in a child process
+under an address-space cap."""
 import itertools
 import os
 import subprocess
@@ -14,18 +15,16 @@ import dhsim
 from dhsim.circuit import Circuit, Gate, ParamRef
 from dhsim.descriptors import _SNAP_EPS, _SNAP_TARGETS
 from dhsim.errors import SizeMismatchError
-from dhsim.pauli import (
-    _LETTER_FROM_BITS,
-    _POWERS_OF_I,
-    _XBIT,
-    _ZBIT,
-    SIGMA,
-    LetterLike,
-    PauliString,
-    letter_index,
-)
+from dhsim.pauli import LETTERS, SIGMA, LetterLike, PauliString, letter_index
 
 CORPUS_GATESET = ("H", "S", "X", "Y", "Z", "CNOT", "CZ", "RY", "RZ", "PHASE")
+
+# The scalar oracle's own tables, independent of `dhsim.pauli`'s codec:
+# letter m (I, X, Y, Z) has X-plane bit XBIT[m] and Z-plane bit ZBIT[m].
+XBIT = (0, 1, 1, 0)
+ZBIT = (0, 0, 1, 1)
+LETTER_FROM_BITS = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+POWERS_OF_I = (1, 1j, -1, -1j)
 
 
 def embed(u: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -59,11 +58,29 @@ def mul_letters(a: LetterLike, b: LetterLike) -> tuple[complex, int]:
     non-identity letters produce the third with a factor of +-i.
     """
     ia, ib = letter_index(a), letter_index(b)
-    x1, z1 = _XBIT[ia], _ZBIT[ia]
-    x2, z2 = _XBIT[ib], _ZBIT[ib]
+    x1, z1 = XBIT[ia], ZBIT[ia]
+    x2, z2 = XBIT[ib], ZBIT[ib]
     x3, z3 = x1 ^ x2, z1 ^ z2
     exponent = (x1 * z1 + x2 * z2 + 2 * (z1 & x2) - x3 * z3) % 4
-    return complex(_POWERS_OF_I[exponent]), _LETTER_FROM_BITS[(x3, z3)]
+    return complex(POWERS_OF_I[exponent]), LETTER_FROM_BITS[(x3, z3)]
+
+
+def oracle_key(label: str) -> int:
+    """A label's key, one letter at a time: qubit k sets bit k-1 of each plane."""
+    n = len(label)
+    key = 0
+    for k, ch in enumerate(label):
+        m = LETTERS.index(ch)
+        key |= XBIT[m] << k
+        key |= ZBIT[m] << (n + k)
+    return key
+
+
+def oracle_label(n: int, key: int) -> str:
+    """The label of a key, one qubit at a time; inverse of `oracle_key`."""
+    return "".join(
+        LETTERS[LETTER_FROM_BITS[((key >> k) & 1, (key >> (n + k)) & 1)]] for k in range(n)
+    )
 
 
 def _key_planes(key: int, n: int) -> tuple[int, int]:
@@ -85,7 +102,7 @@ def mul_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
         + 2 * (z1 & x2).bit_count()
         - (x3 & z3).bit_count()
     ) % 4
-    return complex(_POWERS_OF_I[exponent]), PauliString(p.n, x3 | (z3 << p.n))
+    return complex(POWERS_OF_I[exponent]), PauliString(p.n, x3 | (z3 << p.n))
 
 
 def naive_rewrite_entries(u: np.ndarray, arity: int) -> dict:

@@ -146,6 +146,7 @@ def test_parse_rejects_non_finite_angle_with_location(line, message):
         ("H 1 x", "bad qubit index 'x'", 5),
         ("CNOT 1 3", "qubit 3 out of range 1..2", 8),
         ("CNOT 1", "CNOT takes 2 qubit", 1),
+        ("U1 1", "U1 needs a 2x2 matrix, got none", 1),
     ],
 )
 def test_parse_errors_point_at_the_offending_token(line, message, column):
@@ -474,6 +475,8 @@ def test_gate_validation():
         Gate("RY", (1,))
     with pytest.raises(ValueError, match="unitary"):
         Gate("U1", (1,), matrix=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="U2 needs a 4x4 matrix, got none"):
+        Gate("U2", (1, 2))
 
 
 @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])

@@ -6,11 +6,15 @@ package's own conversion helpers.  The scalar product rules of
 `helpers` (`mul_letters`, `mul_strings`) are checked against it, and
 serve in turn as the term-by-term oracle for `sum_mul`.
 """
+import ast
 import functools
+import itertools
+from pathlib import Path
 
+import helpers
 import numpy as np
 import pytest
-from helpers import mul_letters, mul_strings, run_capped
+from helpers import mul_letters, mul_strings, oracle_key, oracle_label, run_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,8 +92,36 @@ def test_mul_letters_rejects_garbage():
 
 
 def test_string_label_round_trip():
-    for label in ["I", "X", "XIZY", "ZZZZZ", "IYXI"]:
-        assert PauliString.from_label(label).label == label
+    # Every label on 1..3 qubits, then a few longer ones.
+    every = ["".join(p) for n in (1, 2, 3) for p in itertools.product(LETTERS, repeat=n)]
+    for label in [*every, "XIZY", "ZZZZZ", "IYXI"]:
+        string = PauliString.from_label(label)
+        assert string.label == label
+        assert string.key == oracle_key(label)
+        assert string.letters == tuple(LETTERS.index(ch) for ch in label)
+
+
+def test_sum_labels_match_the_oracle():
+    rng = np.random.default_rng(62)
+    n = 5
+    keys = rng.integers(0, 4**n, size=40).astype(np.uint64)
+    s = PauliSum(n, keys, rng.normal(size=40) + 1j * rng.normal(size=40))
+    want = [oracle_label(n, int(k)) for k in s.keys()]
+    assert list(s.terms()) == want
+    assert [term["string"] for term in s.to_json()["terms"]] == want
+    assert PauliSum.from_json(s.to_json()) == s
+    assert all(f")*{label}" in repr(s) for label in want[:6])
+
+
+def test_helpers_oracle_takes_no_private_tables_from_pauli():
+    tree = ast.parse(Path(helpers.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dhsim.pauli"
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if name.startswith("_")] == []
 
 
 def test_mul_strings_exhaustive_two_qubits():
@@ -136,7 +168,8 @@ def test_mul_strings_associative_and_matches_dense(a, b, c):
 def test_letters_and_keys_round_trip_every_string(n):
     keys = np.arange(4**n, dtype=np.uint64)
     letters = pauli._letters(n, keys)
-    assert letters.tolist() == [list(PauliString(n, k).letters) for k in range(4**n)]
+    want = [[LETTERS.index(ch) for ch in oracle_label(n, k)] for k in range(4**n)]
+    assert letters.tolist() == want
     assert np.array_equal(pauli._keys(n, letters), keys)
 
 
@@ -148,6 +181,9 @@ def test_letters_and_keys_round_trip_top_bits():
     assert key >> 61 == 1
     assert pauli._letters(31, np.array([key], dtype=np.uint64)).tolist() == [letters]
     assert pauli._keys(31, np.array([letters])).tolist() == [key]
+    assert PauliString(31, key).label == "".join(LETTERS[m] for m in letters)
+    with pytest.raises(ValueError, match="63-bit key encoding"):
+        PauliString(32, 0)
 
 
 def test_mul_strings_size_mismatch():

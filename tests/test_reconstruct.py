@@ -19,7 +19,6 @@ from dhsim.descriptors import apply_gate, evolve
 from dhsim.errors import BudgetError, GaugeError
 from dhsim.pauli import PauliSum, to_dense
 from dhsim.reconstruct import (
-    InitialState,
     _expectation_tensor,
     _image,
     expectation_of_product,
@@ -95,7 +94,7 @@ def test_pure_state_expectation_matches_dense():
     n = 3
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
-    rho0 = InitialState.custom(StateVector(n, v))
+    rho0 = StateVector(n, v)
     labels = ["XIZ", "YYI", "IIZ", "ZXY"]
     s = PauliSum.from_terms(n, {l: complex(*rng.normal(size=2)) for l in labels})
     got = _expectation_tensor([[s]], rho0, DENSE_QUBITS).item()
@@ -112,7 +111,7 @@ def test_pure_state_expectation_across_term_blocks():
     assert s.num_terms > 256
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
-    rho0 = InitialState.custom(StateVector(n, v))
+    rho0 = StateVector(n, v)
     got = _expectation_tensor([[s]], rho0, DENSE_QUBITS).item()
     want = v.conj() @ to_dense(s) @ v
     assert abs(got - want) < 1e-10
@@ -206,7 +205,7 @@ def test_global_density_custom_initial_state():
     n = 2
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    rho0 = InitialState.custom(StateVector(n, v))
+    rho0 = StateVector(n, v)
     bc = bind(parse("qubits 2\nH 1\nCNOT 1 2\nS 2\n"))
     got = global_density(evolve(bc), rho0)
     # oracle: evolve the custom vector through the same gates
@@ -240,7 +239,7 @@ def test_expectation_tensor_halves_match_state_vector(n):
     rng = np.random.default_rng(50 + n)
     c, binding = random_circuit(rng, n=n, depth=12)
     bc = bind(c, binding)
-    got = _expectation_tensor(all_components(evolve(bc)), InitialState.standard(), DENSE_QUBITS)
+    got = _expectation_tensor(all_components(evolve(bc)), None, DENSE_QUBITS)
     want = oracle_tensor(evolve_state(bc).amplitudes, n)
     assert got.shape == (4,) * n
     assert np.max(np.abs(got - want)) < 1e-10
@@ -251,7 +250,7 @@ def test_expectation_tensor_halves_match_state_vector_custom_state():
     n = 3
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     v /= np.linalg.norm(v)
-    rho0 = InitialState.custom(StateVector(n, v))
+    rho0 = StateVector(n, v)
     c, binding = random_circuit(rng, n=n, depth=12)
     bc = bind(c, binding)
     got = _expectation_tensor(all_components(evolve(bc)), rho0, DENSE_QUBITS)
@@ -338,6 +337,17 @@ def test_reduced_density_above_dense_budget_matches_amplitudes():
         assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_standard_initial_state_is_one_entry_at_any_width():
+    # None is |0...0>: a 24-qubit reduced density builds no 2**24 vector.
+    support, column = reconstruct._initial_block(None, 24)
+    assert support.tolist() == [0] and column.tolist() == [[1]]
+    state = evolve(bind(parse("qubits 24\nH 24\nCNOT 24 1\n")))
+    bell = np.array([[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]) / 2
+    assert np.allclose(reduced_density(state, [1, 24]).entries, bell, atol=1e-12)
+    with pytest.raises(ValueError, match="initial state has 2 qubits, need 24"):
+        reduced_density(state, [1], StateVector(2, [1, 0, 0, 0]))
+
+
 def test_reduced_density_of_every_qubit_is_global_density():
     rng = np.random.default_rng(59)
     c, binding = random_circuit(rng, n=8, depth=60)
@@ -360,7 +370,7 @@ def test_reconstruction_budget_counts_block_entries_not_qubits():
     for width, fits in ((2**10, True), (2**10 + 1, False)):
         amps = np.zeros(2**n)
         amps[:width] = 1 / np.sqrt(width)
-        rho0 = InitialState.custom(StateVector(n, amps))
+        rho0 = StateVector(n, amps)
         if fits:
             # qubit 1's z component is X1, which maps the support onto itself
             assert expectation_of_product(state, {1: 3}, rho0) == pytest.approx(1.0)

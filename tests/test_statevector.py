@@ -13,6 +13,7 @@ from dhsim import statevector
 from dhsim.circuit import BoundGate, Circuit, Gate, bind, parse
 from dhsim.errors import BudgetError
 from dhsim.statevector import (
+    ATOL_STATE,
     DensityMatrix,
     StateVector,
     apply_bound_gate,
@@ -27,7 +28,7 @@ from dhsim.statevector import (
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-from helpers import embed
+from helpers import embed, random_haar
 
 
 def random_state(rng, n):
@@ -129,6 +130,32 @@ def test_density_and_validation():
         DensityMatrix(1, np.diag([0.9, 0.9]))  # trace != 1
     with pytest.raises(ValueError):
         DensityMatrix(1, np.diag([1.5, -0.5]))  # not PSD
+
+
+def eigenvalue_below_zero(defect: float) -> np.ndarray:
+    """A unit-trace Hermitian 2-qubit matrix with smallest eigenvalue -defect."""
+    v = random_haar(np.random.default_rng(23), 4)
+    return v @ np.diag([0.5, 0.3, 0.2 + defect, -defect]) @ v.conj().T
+
+
+def hermitian_gap(defect: float) -> np.ndarray:
+    """A unit-trace PSD 1-qubit matrix whose off-diagonal pair differs by defect."""
+    return np.array([[0.5, 0.1 + defect], [0.1, 0.5]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(eigenvalue_below_zero, "positive semidefinite"), (hermitian_gap, "not Hermitian")],
+)
+@pytest.mark.parametrize("scale, accepted", [(2.0, False), (0.5, True)])
+def test_density_tolerances_at_their_edges(build, message, scale, accepted):
+    m = build(scale * ATOL_STATE)
+    k = m.shape[0].bit_length() - 1
+    if accepted:
+        assert np.array_equal(DensityMatrix(k, m).entries, m)
+    else:
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(k, m)
 
 
 def test_partial_trace_bell_pair_is_maximally_mixed():
